@@ -61,6 +61,9 @@ class BlockStore:
         ne = csr.indptr[s[1:]] - csr.indptr[s[:-1]]
         # Index-file slice (nv+1 entries) + CSR-file slice (ne values).
         self._block_bytes = (vb * (nv + 1) + vb * ne).astype(np.int64)
+        # Dense vertex→block map, built once. The extra last entry is -1, so
+        # indexing with prev = -1 (a walk yet to step) yields block -1.
+        self.block_map = np.append(part.block_of(np.arange(csr.n)), -1).astype(np.int64)
         if self.dir is not None:
             self.write_blocks()
 
@@ -74,7 +77,9 @@ class BlockStore:
         return self.csr.n
 
     def block_of(self, v) -> np.ndarray:
-        return self.part.block_of(v)
+        """Block id of each vertex id in ``v`` (-1 for -1): one gather from
+        :attr:`block_map`. Engine loops index that array directly."""
+        return self.block_map[v]
 
     def block_bytes(self, b: int) -> int:
         return int(self._block_bytes[b])

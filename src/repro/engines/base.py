@@ -16,40 +16,36 @@ from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
 from repro.graphs.csr import CSR
 from repro.walks.models import Recorder, WalkTask, done_mask
-from repro.walks.state import Walks
+from repro.walks.state import WalkGroups, Walks
 
 
 class WalkPools:
     """Per-block walk pools stored "on disk" (charged as walk I/O).
 
     Tracks per-pool walk counts (for the state-aware schedulers) and exposes
-    per-pool minimum hop (for the Min-Height scheduler).
+    per-pool minimum hop (for the Min-Height scheduler). Walks added between
+    two reads are grouped into their pools together (:class:`WalkGroups`),
+    while each add is still charged as its own walk write.
     """
 
     def __init__(self, sim: DiskSim, n_blocks: int) -> None:
         self._sim = sim
-        self._pools: dict[int, list[Walks]] = {i: [] for i in range(n_blocks)}
+        self._pools = WalkGroups()
         self.counts = np.zeros(n_blocks, dtype=np.int64)
 
     def add_grouped(self, block_per_walk: np.ndarray, walks: Walks) -> None:
-        """Persist walks into pools keyed by ``block_per_walk``."""
+        """Persist walks into pools keyed by ``block_per_walk`` (one walk
+        I/O charge per call). The pools take ownership of ``walks``."""
         if not len(walks):
             return
         self._sim.charge_walk_io(len(walks))
-        lo = int(block_per_walk[0])
-        if len(walks) == 1 or (block_per_walk == lo).all():
-            self._pools[lo].append(walks)
-            self.counts[lo] += len(walks)
-            return
-        for b in np.unique(block_per_walk):
-            sel = walks.select(block_per_walk == b)
-            self._pools[int(b)].append(sel)
-            self.counts[int(b)] += len(sel)
+        self.counts += np.bincount(block_per_walk, minlength=len(self.counts))
+        self._pools.add(block_per_walk, walks)
 
     def pop(self, b: int) -> Walks:
-        """Load and clear pool ``b`` (charged as sequential walk I/O)."""
-        out = Walks.concat(self._pools[b])
-        self._pools[b] = []
+        """Load and clear pool ``b`` (charged as sequential walk I/O). The
+        result is a fresh table that shares no memory with any pool."""
+        out = Walks.concat(self._pools.pop(b))
         self.counts[b] = 0
         self._sim.charge_walk_io(len(out))
         return out
@@ -58,10 +54,10 @@ class WalkPools:
         return int(self.counts.sum())
 
     def min_hop(self, b: int) -> int:
-        chunks = self._pools[b]
+        chunks = self._pools.get(b)
         if not chunks:
             return np.iinfo(np.int64).max
-        return int(min(int(c.hop.min()) for c in chunks if len(c)))
+        return int(min(int(c.hop.min()) for c in chunks))
 
 
 class BlockSlots:
@@ -88,9 +84,10 @@ class BlockSlots:
         return True
 
     def has_block(self, bids: np.ndarray) -> np.ndarray:
-        if not self.resident:
-            return np.zeros(len(bids), dtype=bool)
-        return np.isin(bids, np.array(self.resident))
+        out = np.zeros(len(bids), dtype=bool)
+        for r in self.resident:  # at most n_slots compares
+            out |= bids == r
+        return out
 
 
 @dataclass
@@ -112,6 +109,25 @@ def split_done(task: WalkTask, csr: CSR, walks: Walks) -> tuple[Walks, Walks]:
         return walks, walks
     d = done_mask(task, csr, walks)
     return walks.select(d), walks.select(~d)
+
+
+def split_step(
+    task: WalkTask, csr: CSR, block_map: np.ndarray, walks: Walks, b: int, i: int
+) -> tuple[Walks, Walks, np.ndarray]:
+    """Route a batch right after ``advance``: (staying, leaving, blocks).
+
+    Finished walks are dropped. A live walk leaves when its current block is
+    neither ``b`` nor ``i`` (pass ``i == b`` for one resident block);
+    ``blocks`` holds the leaving walks' current blocks. The done mask and
+    the current blocks are computed once, and each output is one gather
+    (none when every walk stays).
+    """
+    done = done_mask(task, csr, walks)
+    curb = block_map[walks.cur]
+    out = (curb != b) & (curb != i) & ~done
+    if not out.any():
+        return (walks.select(~done) if done.any() else walks), Walks.empty(), curb[:0]
+    return walks.select(~(done | out)), walks.select(out), curb[out]
 
 
 def make_recorder(

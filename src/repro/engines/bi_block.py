@@ -24,20 +24,24 @@ import numpy as np
 
 from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
-from repro.engines.base import EngineResult, WalkPools, make_recorder, split_done
+from repro.engines.base import (
+    EngineResult,
+    WalkPools,
+    make_recorder,
+    split_done,
+    split_step,
+)
 from repro.engines.loading import FULL, BlockLoader, LearnedLoadModel, LoadLogs
 from repro.walks.buckets import ExtensionBuffers, collect_buckets
 from repro.walks.models import WalkTask, advance
 from repro.walks.state import Walks, skewed_block_of
 
 
-def _skewed_add(pools: WalkPools, store: BlockStore, walks: Walks) -> None:
+def _skewed_add(pools: WalkPools, block_map: np.ndarray, walks: Walks) -> None:
     """Persist walks into pools under the skewed storage rule (§4.3.1)."""
     if not len(walks):
         return
-    pb = np.where(walks.prev < 0, -1, store.block_of(np.maximum(walks.prev, 0)))
-    cb = store.block_of(walks.cur)
-    pools.add_grouped(skewed_block_of(pb, cb), walks)
+    pools.add_grouped(skewed_block_of(block_map[walks.prev], block_map[walks.cur]), walks)
 
 
 def run_bi_block(
@@ -57,22 +61,21 @@ def run_bi_block(
     ancillary block loading method: "full", "ondemand" or "learned"."""
     csr = store.csr
     nb = store.n_blocks
+    bmap = store.block_map
     sim = sim or DiskSim(params=store.params)
     rec = make_recorder(csr, task, starts, record_paths, record_visits)
     pools = WalkPools(sim, nb)
     loader = BlockLoader(store, sim, mode=loading, model=load_model, logs=load_logs)
 
     _, live = split_done(task, csr, starts)
-    _skewed_add(pools, store, live)
+    _skewed_add(pools, bmap, live)
 
     while pools.total():
         for b in range(nb):
             if pools.counts[b] == 0:
                 continue
             walks = pools.pop(b)
-            pb = np.where(walks.prev < 0, -1, store.block_of(np.maximum(walks.prev, 0)))
-            cb = store.block_of(walks.cur)
-            buckets = collect_buckets(walks, pb, cb, b)
+            buckets = collect_buckets(walks, bmap[walks.prev], bmap[walks.cur], b)
             ext = ExtensionBuffers()
             if store.physical:
                 store.read_block(b)
@@ -80,38 +83,31 @@ def run_bi_block(
             sim.time_slots += 1
 
             for i in range(b, nb):  # i == b is the hop-0 self-bucket
-                bucket = Walks.concat([buckets.get(i, Walks.empty()), ext.drain(i)])
-                if not len(bucket):
+                bucket = buckets.pop(i, None)
+                if i in ext:
+                    staged = ext.drain(i)
+                    bucket = staged if bucket is None else Walks.concat([bucket, staged])
+                if bucket is None:
                     continue
                 if i != b:
-                    in_block = lambda v: (v >= 0) & (store.block_of(np.maximum(v, 0)) == i)  # noqa: E731
-                    activated = np.concatenate(
-                        [bucket.prev[in_block(bucket.prev)], bucket.cur[in_block(bucket.cur)]]
-                    )
+                    activated = np.concatenate([
+                        bucket.prev[bmap[bucket.prev] == i], bucket.cur[bmap[bucket.cur] == i]
+                    ])
                     loader.load(i, len(bucket), activated)
                 sim.bucket_execs += 1
                 active = bucket
                 while len(active):
-                    if i != b:
+                    if loader.partial:
                         # On-demand residency for vertices used this step.
-                        m_cur = store.block_of(active.cur) == i
-                        loader.ensure(active.cur[m_cur])
-                        has_prev = active.prev >= 0
-                        m_prev = has_prev & (
-                            store.block_of(np.maximum(active.prev, 0)) == i
-                        )
-                        loader.ensure(active.prev[m_prev])
+                        loader.ensure(active.cur[bmap[active.cur] == i])
+                        loader.ensure(active.prev[bmap[active.prev] == i])
                     t0 = time.perf_counter()
                     advance(csr, task, active, rec)
                     sim.steps += len(active)
                     sim.exec_real_s += time.perf_counter() - t0
-                    _, alive = split_done(task, csr, active)
-                    curb = store.block_of(alive.cur)
-                    out = (curb != b) & (curb != i)
-                    leaving = alive.select(out)
+                    active, leaving, curb = split_step(task, csr, bmap, active, b, i)
                     if len(leaving):
-                        _classify_exits(store, pools, ext, leaving, b, i)
-                    active = alive.select(~out)
+                        _classify_exits(bmap, pools, ext, leaving, curb, b, i)
                 if i != b:
                     loader.finish()
             assert ext.is_empty(), "extension buffers must drain within the slot"
@@ -119,37 +115,30 @@ def run_bi_block(
 
 
 def _classify_exits(
-    store: BlockStore,
+    block_map: np.ndarray,
     pools: WalkPools,
     ext: ExtensionBuffers,
     leaving: Walks,
+    curb: np.ndarray,
     b: int,
     i: int,
 ) -> None:
     """Algorithm 2: re-associate walks that moved out of the resident pair.
 
-    ``leaving`` walks have prev in {b, i} and cur elsewhere. Cases:
-    cur < b → pool[cur]; b < cur < i → pool[b] if prev∈b else pool[cur];
-    cur > i → bucket-extend to bucket[cur] if prev∈b else pool[i]. Every
-    pool target equals min(B(prev), B(cur)) — the skewed storage invariant.
+    ``leaving`` walks have prev in {b, i} and cur in block ``curb``, outside
+    the pair. Cases: cur < b → pool[cur]; b < cur < i → pool[b] if prev∈b
+    else pool[cur]; cur > i → bucket-extend to bucket[cur] if prev∈b else
+    pool[i]. Every pool target equals min(B(prev), B(cur)) — the skewed
+    storage invariant.
     """
-    curb = store.block_of(leaving.cur)
-    preb = store.block_of(leaving.prev)
-    target = np.empty(len(leaving), dtype=np.int64)
-    extend = np.zeros(len(leaving), dtype=bool)
-
-    lo = curb < b
-    target[lo] = curb[lo]
-    mid = (curb > b) & (curb < i)
-    target[mid & (preb == b)] = b
-    target[mid & (preb != b)] = curb[mid & (preb != b)]
-    hi = curb > i
-    hi_ext = hi & (preb == b)
-    extend[hi_ext] = True
-    target[hi & ~hi_ext] = i
-
-    if extend.any():
+    prev_in_b = block_map[leaving.prev] == b
+    target = np.where(curb < b, curb, np.where(curb < i, np.where(prev_in_b, b, curb), i))
+    extend = (curb > i) & prev_in_b
+    if not extend.any():
+        pools.add_grouped(target, leaving)
+    elif extend.all():
+        ext.add(curb, leaving)
+    else:
         ext.add(curb[extend], leaving.select(extend))
-    rest = ~extend
-    if rest.any():
+        rest = ~extend
         pools.add_grouped(target[rest], leaving.select(rest))

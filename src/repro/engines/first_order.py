@@ -14,11 +14,15 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
-from repro.engines.base import EngineResult, WalkPools, make_recorder, split_done
+from repro.engines.base import (
+    EngineResult,
+    WalkPools,
+    make_recorder,
+    split_done,
+    split_step,
+)
 from repro.engines.loading import FULL, BlockLoader, LearnedLoadModel, LoadLogs
 from repro.engines.scheduling import Scheduler, make_scheduler
 from repro.walks.models import WalkTask, advance
@@ -49,8 +53,9 @@ def run_first_order(
     pools = WalkPools(sim, store.n_blocks)
     loader = BlockLoader(store, sim, mode=loading, model=load_model, logs=load_logs)
 
+    bmap = store.block_map
     _, live = split_done(task, csr, starts)
-    pools.add_grouped(store.block_of(live.cur), live)
+    pools.add_grouped(bmap[live.cur], live)
 
     last = -1
     while pools.total():
@@ -72,17 +77,14 @@ def run_first_order(
         last = b
         sim.bucket_execs += 1
         while len(active):
-            loader.ensure(active.cur[store.block_of(active.cur) == b])
+            if loader.partial:
+                loader.ensure(active.cur)  # every active walk is in block b
             t0 = time.perf_counter()
             advance(csr, task, active, rec)
             sim.steps += len(active)
             sim.exec_real_s += time.perf_counter() - t0
-            _, alive = split_done(task, csr, active)
-            curb = store.block_of(alive.cur)
-            out = curb != b
-            leaving = alive.select(out)
-            pools.add_grouped(curb[out], leaving)
-            active = alive.select(~out)
+            active, leaving, curb = split_step(task, csr, bmap, active, b, b)
+            pools.add_grouped(curb, leaving)
         loader.finish()
     return EngineResult(name=name, sim=sim, recorder=rec)
 

@@ -181,6 +181,12 @@ class BlockLoader:
             raise ValueError(chosen)
         return chosen
 
+    @property
+    def partial(self) -> bool:
+        """True while the current block is loaded on demand (vertex by
+        vertex); ``ensure`` is a no-op otherwise."""
+        return self._loaded is not None
+
     def ensure(self, vs: np.ndarray) -> None:
         """Make vertices ``vs`` (global ids inside the block) resident,
         charging a light on-demand read for each newly activated vertex."""

@@ -14,14 +14,18 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
-from repro.engines.base import EngineResult, WalkPools, make_recorder, split_done
+from repro.engines.base import (
+    EngineResult,
+    WalkPools,
+    make_recorder,
+    split_done,
+    split_step,
+)
 from repro.engines.scheduling import Scheduler, make_scheduler
 from repro.walks.models import WalkTask, advance
-from repro.walks.state import Walks
+from repro.walks.state import Walks, split_by_key
 
 
 def run_plain_bucket(
@@ -41,8 +45,9 @@ def run_plain_bucket(
     rec = make_recorder(csr, task, starts, record_paths, record_visits)
     pools = WalkPools(sim, store.n_blocks)
 
+    bmap = store.block_map
     _, live = split_done(task, csr, starts)
-    pools.add_grouped(store.block_of(live.cur), live)
+    pools.add_grouped(bmap[live.cur], live)
 
     last_current = -1
     while pools.total():
@@ -59,9 +64,9 @@ def run_plain_bucket(
         if not len(walks):
             continue
         # Buckets by previous block; hop-0 walks form the self-bucket b.
-        prev_b = np.where(walks.prev < 0, b, store.block_of(np.maximum(walks.prev, 0)))
-        for i in sorted(int(x) for x in np.unique(prev_b)):
-            bucket = walks.select(prev_b == i)
+        prev_b = bmap[walks.prev]
+        prev_b[prev_b < 0] = b
+        for i, bucket in split_by_key(walks, prev_b):
             if i != b:  # self-bucket needs no ancillary block
                 if store.physical:
                     store.read_block(i)
@@ -73,10 +78,6 @@ def run_plain_bucket(
                 advance(csr, task, active, rec)
                 sim.steps += len(active)
                 sim.exec_real_s += time.perf_counter() - t0
-                _, alive = split_done(task, csr, active)
-                curb = store.block_of(alive.cur)
-                out = (curb != b) & (curb != i)
-                leaving = alive.select(out)
-                pools.add_grouped(store.block_of(leaving.cur), leaving)
-                active = alive.select(~out)
+                active, leaving, curb = split_step(task, csr, bmap, active, b, i)
+                pools.add_grouped(curb, leaving)
     return EngineResult(name="PB", sim=sim, recorder=rec)

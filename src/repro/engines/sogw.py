@@ -25,6 +25,7 @@ from repro.engines.base import (
     WalkPools,
     make_recorder,
     split_done,
+    split_step,
 )
 from repro.engines.scheduling import Scheduler, make_scheduler
 from repro.walks.models import WalkTask, advance
@@ -56,8 +57,9 @@ def run_sogw(
     pools = WalkPools(sim, store.n_blocks)
     slots = BlockSlots(store, sim, n_slots=2)
 
+    bmap = store.block_map
     _, live = split_done(task, csr, starts)
-    pools.add_grouped(store.block_of(live.cur), live)
+    pools.add_grouped(bmap[live.cur], live)
 
     while pools.total():
         b = sched.pick(pools)
@@ -73,17 +75,14 @@ def run_sogw(
             t0 = time.perf_counter()
             # Light vertex I/Os: previous vertex not resident and not cached.
             if not task.first_order:
-                has_prev = active.prev >= 0
-                need = has_prev & ~slots.has_block(store.block_of(active.prev))
+                prev_b = bmap[active.prev]
+                need = (prev_b >= 0) & ~slots.has_block(prev_b)
                 if static_cache is not None:
                     need &= ~static_cache[np.maximum(active.prev, 0)]
                 sim.charge_vertex_fetch(store.vertex_seg_bytes(active.prev[need]))
             advance(csr, task, active, rec)
             sim.steps += len(active)
             sim.exec_real_s += time.perf_counter() - t0
-            _, alive = split_done(task, csr, active)
-            out = store.block_of(alive.cur) != b
-            leaving = alive.select(out)
-            pools.add_grouped(store.block_of(leaving.cur), leaving)
-            active = alive.select(~out)
+            active, leaving, curb = split_step(task, csr, bmap, active, b, b)
+            pools.add_grouped(curb, leaving)
     return EngineResult(name=name, sim=sim, recorder=rec)

@@ -75,9 +75,12 @@ def sequential_partition(
 ) -> Partition:
     """Pack vertices in id order into blocks (paper's default partition).
 
-    Exactly one of ``n_blocks`` (equal-byte quantile split, guarantees that
+    Exactly one of ``n_blocks`` (equal-byte quantile split into exactly that
     many blocks) or ``block_bytes`` (greedy fill to the size cap, block
-    count emerges) must be given.
+    count emerges) must be given. A quantile split puts several cuts on the
+    same vertex when one vertex holds more than a block's share of the bytes
+    (a hub); it then cannot give ``n_blocks`` non-empty blocks and raises
+    ``ValueError`` rather than return fewer.
     """
     if (n_blocks is None) == (block_bytes is None):
         raise ValueError("give exactly one of n_blocks / block_bytes")
@@ -89,6 +92,11 @@ def sequential_partition(
         targets = total * np.arange(1, n_blocks) / n_blocks
         cuts = np.searchsorted(cum, targets, side="left") + 1
         starts = np.unique(np.concatenate([[0], cuts, [n]])).astype(np.int64)
+        if len(starts) - 1 != n_blocks:
+            raise ValueError(
+                f"sequential_partition: requested {n_blocks} blocks, but the equal-byte "
+                f"split of {n} vertices gives only {len(starts) - 1} non-empty blocks"
+            )
     else:
         cumx = cum - vb  # exclusive prefix
         bid = cumx // block_bytes

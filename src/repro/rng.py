@@ -6,39 +6,73 @@ random draw for step ``hop`` of walk ``walk_id`` is a pure function
 ``unit_hash(seed, walk_id, hop, salt)`` of the walk identity, not of the
 execution order. Every engine — the five driver engines, the in-memory
 reference walker, and the Spark iterative-join engine — therefore produces
-bit-identical trajectories, and tests assert exact equality.
+bit-identical trajectories, and tests assert exactly that.
 
 The hash is two rounds of splitmix64 over uint64 with wraparound; the Spark
 engine applies the *same numpy kernel* through a pandas UDF, so there is no
-cross-language reimplementation to drift.
+cross-language reimplementation to drift. The rounds run in place on one
+uint64 buffer; uint64 *array* arithmetic wraps silently, so no
+``np.errstate`` is needed (only numpy scalar arithmetic warns).
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_M2 = np.uint64(0x94D049BB133111EB)
+_MASK = (1 << 64) - 1
+_GAMMA_INT = 0x9E3779B97F4A7C15
+# 0-d arrays rather than numpy scalars: they skip the scalar-to-array
+# conversion, which shows on the engines' small batches.
+_GAMMA, _M1, _M2, _S30, _S27, _S31, _S11 = (
+    np.array(c, dtype=np.uint64)
+    for c in (_GAMMA_INT, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 30, 27, 31, 11)
+)
 _TWO53 = float(1 << 53)
 
 
-def _mix(x: np.ndarray) -> np.ndarray:
-    """One splitmix64 output round (finalizer) over a uint64 array."""
-    z = (x + _GAMMA).astype(np.uint64)
-    z = (z ^ (z >> np.uint64(30))) * _M1
-    z = (z ^ (z >> np.uint64(27))) * _M2
-    return z ^ (z >> np.uint64(31))
-
-
-from functools import lru_cache
+def _mix(z: np.ndarray) -> np.ndarray:
+    """One splitmix64 output round (finalizer), in place on a uint64 array."""
+    z += _GAMMA
+    z ^= z >> _S30
+    z *= _M1
+    z ^= z >> _S27
+    z *= _M2
+    z ^= z >> _S31
+    return z
 
 
 @lru_cache(maxsize=256)
-def _base(seed: int, salt: int) -> np.uint64:
+def _base(seed: int, salt: int) -> np.ndarray:
     """Pre-mixed (seed, salt) key — constant per task, computed once."""
-    s = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
-    with np.errstate(over="ignore"):
-        return _mix(np.atleast_1d(s + np.uint64(salt & 0xFFFFFFFFFFFFFFFF) * _GAMMA))[0]
+    key = ((int(seed) & _MASK) + (salt & _MASK) * _GAMMA_INT) & _MASK
+    out = _mix(np.array([key], dtype=np.uint64))
+    out.flags.writeable = False  # shared by every caller through the cache
+    return out
+
+
+def _u64(a) -> np.ndarray:
+    """``a`` as a fresh uint64 array of at least one dimension (wrapping)."""
+    out = np.asarray(a).astype(np.uint64)
+    return out.reshape(1) if out.ndim == 0 else out
+
+
+def _hash(seed: int, walk_id, hop, salt: int) -> np.ndarray:
+    """:func:`hash_u64` as a fresh uint64 array of at least one element."""
+    x = _u64(walk_id)
+    h = _u64(hop)
+    x ^= _base(seed, salt)
+    _mix(x)
+    h *= _M2
+    if x.size >= h.size:
+        x += h
+    else:  # a scalar walk id against an array of hops
+        x = x + h
+    return _mix(x)
+
+
+def _is_scalar(walk_id, hop) -> bool:
+    return np.ndim(walk_id) == 0 and np.ndim(hop) == 0
 
 
 def hash_u64(seed: int, walk_id: np.ndarray, hop: np.ndarray, salt: int = 0) -> np.ndarray:
@@ -48,12 +82,8 @@ def hash_u64(seed: int, walk_id: np.ndarray, hop: np.ndarray, salt: int = 0) -> 
     broadcasting follows numpy rules. Output dtype is uint64. Two splitmix64
     finalizer rounds over the pre-mixed (seed, salt) base.
     """
-    scalar = np.ndim(walk_id) == 0 and np.ndim(hop) == 0
-    w = np.atleast_1d(np.asarray(walk_id)).astype(np.uint64)
-    h = np.atleast_1d(np.asarray(hop)).astype(np.uint64)
-    with np.errstate(over="ignore"):
-        x = _mix(_mix(_base(seed, salt) ^ w) + h * _M2)
-    return x[0] if scalar else x
+    x = _hash(seed, walk_id, hop, salt)
+    return x[0] if _is_scalar(walk_id, hop) else x
 
 
 def unit_hash(seed: int, walk_id, hop, salt: int = 0) -> np.ndarray:
@@ -62,5 +92,8 @@ def unit_hash(seed: int, walk_id, hop, salt: int = 0) -> np.ndarray:
     Uses the top 53 bits of :func:`hash_u64` so the value is exactly
     representable as a double and identical wherever the kernel runs.
     """
-    bits = hash_u64(seed, walk_id, hop, salt) >> np.uint64(11)
-    return bits.astype(np.float64) / _TWO53
+    bits = _hash(seed, walk_id, hop, salt)
+    bits >>= _S11
+    u = bits.astype(np.float64)
+    u /= _TWO53
+    return u[0] if _is_scalar(walk_id, hop) else u

@@ -20,21 +20,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.walks.state import Walks
+from repro.walks.state import WalkGroups, Walks, split_by_key
 
 
 def collect_buckets(
     walks: Walks, prev_block: np.ndarray, cur_block: np.ndarray, b: int
 ) -> dict[int, Walks]:
     """Split current walks into buckets per Eq. 4 (self-bucket ``b`` for
-    hop-0 walks). Returns {bucket_id: Walks}, bucket ids >= b."""
+    hop-0 walks). Returns {bucket_id: Walks} in ascending id, ids >= b."""
     key = np.where(
         prev_block < 0, b, np.where(prev_block == b, cur_block, prev_block)
     )
-    out: dict[int, Walks] = {}
-    for k in np.unique(key):
-        out[int(k)] = walks.select(key == k)
-    return out
+    return dict(split_by_key(walks, key))
 
 
 class ExtensionBuffers:
@@ -46,21 +43,20 @@ class ExtensionBuffers:
     """
 
     def __init__(self) -> None:
-        self._buf: dict[int, list[Walks]] = {}
+        self._buf = WalkGroups()
 
     def add(self, bucket_id_per_walk: np.ndarray, walks: Walks) -> None:
-        for k in np.unique(bucket_id_per_walk):
-            self._buf.setdefault(int(k), []).append(
-                walks.select(bucket_id_per_walk == k)
-            )
+        self._buf.add(bucket_id_per_walk, walks)
 
     def drain(self, bucket_id: int) -> Walks:
         """Merge and remove everything staged for ``bucket_id``."""
-        parts = self._buf.pop(bucket_id, [])
-        return Walks.concat(parts)
+        return Walks.concat(self._buf.pop(bucket_id))
+
+    def __contains__(self, bucket_id: int) -> bool:
+        return bool(self._buf.get(bucket_id))
 
     def pending_ids(self) -> list[int]:
-        return sorted(self._buf.keys())
+        return self._buf.keys()
 
     def is_empty(self) -> bool:
-        return not any(len(Walks.concat(v)) for v in self._buf.values())
+        return not self._buf.keys()
