@@ -6,7 +6,10 @@ it was. ``tests/data/counter_golden.json`` holds the counters of a grid of
 small graphs × engines × tasks; this test recomputes the grid and compares
 every ``DiskSim.snapshot()`` field except the host-time ``exec_real_s`` with
 ``==`` (floats included), plus the ``LoadLogs`` of every block-loader run
-and the fitted load-model coefficients. No Spark session is started.
+and the fitted load-model coefficients. Cells named ``sched/<scheduler>/...``
+rerun the scheduler-driven engines (SOGW, SGSC, PB; GraSorw-FO full and
+on-demand) under each of the five schedulers, so the Alphabet empty-pool
+paths are pinned too. No Spark session is started.
 
 Regenerate (only for an intended change of the simulated model) with::
 
@@ -35,6 +38,9 @@ GOLDEN = Path(__file__).parent / "data" / "counter_golden.json"
 
 SECOND_ORDER = ("SOGW", "SGSC", "PB", "GraSorw-full", "GraSorw-ondemand", "GraSorw-learned")
 FIRST_ORDER = ("GraphWalker", "GraSorw-FO-full", "GraSorw-FO-learned")
+SCHEDULED = ("SOGW", "SGSC", "PB")
+SCHEDULED_FO = ("GraSorw-FO-full", "GraSorw-FO-ondemand")
+SCHEDULER_NAMES = ("alphabet", "iteration", "min_height", "max_sum", "graphwalker")
 
 
 def _hub_csr(n: int = 40, m: int = 30, seed: int = 11) -> CSR:
@@ -107,12 +113,37 @@ def _run_case(system: GraphSystem, task: WalkTask, starts, second_order: bool) -
     return out
 
 
+def _run_scheduled(
+    system: GraphSystem, task: WalkTask, starts, second_order: bool, scheduler: str
+) -> dict:
+    """Counters of the scheduler-driven engines under ``scheduler``."""
+    out = {}
+    for name in SCHEDULED if second_order else SCHEDULED_FO:
+        logs = LoadLogs()
+        if name.startswith("GraSorw"):
+            engine, _, mode = name.rpartition("-")
+            res = system.run(
+                engine, task, starts, loading=mode, load_logs=logs, scheduler=scheduler
+            )
+        else:
+            res = system.run(name, task, starts, scheduler=scheduler)
+        row = _counters(res)
+        if logs.bid:
+            row["load_logs"] = _logs(logs)
+        out[name] = row
+    return out
+
+
 def compute() -> dict:
     out = {}
     for gname, (csr, part) in _graphs().items():
         system = GraphSystem(store=BlockStore(csr, part))
         for tname, (task, starts, second_order) in _tasks(csr).items():
             out[f"{gname}/{tname}"] = _run_case(system, task, starts, second_order)
+            for sched in SCHEDULER_NAMES:
+                out[f"sched/{sched}/{gname}/{tname}"] = _run_scheduled(
+                    system, task, starts, second_order, sched
+                )
     return out
 
 
@@ -142,6 +173,31 @@ def test_counters_equal_golden(golden, current, graph, task):
         got = current[cell][engine]
         for field in sorted(set(want) | set(got)):
             assert got.get(field) == want.get(field), f"{cell} {engine} {field}"
+
+
+@pytest.mark.parametrize("graph", ["random", "hub", "one_block", "singleton"])
+@pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
+def test_scheduler_counters_equal_golden(golden, current, scheduler, graph):
+    prefix = f"sched/{scheduler}/{graph}/"
+    cells = [c for c in golden if c.startswith(prefix)]
+    assert len(cells) == 4
+    for cell in cells:
+        for engine, want in golden[cell].items():
+            got = current[cell][engine]
+            for field in sorted(set(want) | set(got)):
+                assert got.get(field) == want.get(field), f"{cell} {engine} {field}"
+
+
+def test_scheduler_grid_loads_empty_pools(golden):
+    """Alphabet also schedules walk-less blocks, so somewhere in the grid it
+    must take more time slots than Iteration, in every scheduler-driven
+    engine."""
+    more = set()
+    for cell, engines in golden.items():
+        if cell.startswith("sched/alphabet/"):
+            other = golden[cell.replace("/alphabet/", "/iteration/")]
+            more |= {e for e, r in engines.items() if r["time_slots"] > other[e]["time_slots"]}
+    assert more == set(SCHEDULED + SCHEDULED_FO)
 
 
 def test_golden_exercises_every_path(golden):
