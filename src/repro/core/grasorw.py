@@ -54,7 +54,6 @@ class GraphSystem:
         cache: str = "none",
         params: IOParams | None = None,
         physical_dir: str | Path | None = None,
-        physical: bool = False,
     ) -> "GraphSystem":
         """Build the disk image: partition (Spark), CSR (Spark sort), blocks."""
         perm = None
@@ -68,9 +67,7 @@ class GraphSystem:
         else:
             raise ValueError(f"unknown partition {partition!r}")
         csr = build_csr(edges, n)
-        store = BlockStore(
-            csr, part, params=params, physical_dir=physical_dir, physical=physical
-        )
+        store = BlockStore(csr, part, params=params, physical_dir=physical_dir)
         return cls(store=store, cache=cache, perm=perm)
 
     def new_sim(self) -> DiskSim:

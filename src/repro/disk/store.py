@@ -3,11 +3,10 @@
 A :class:`BlockStore` owns the global CSR plus a :class:`Partition` and
 derives per-block byte sizes exactly as the paper does (4-byte index entry
 per vertex + 4 bytes per neighbor). When given a directory it also
-*physically* writes one ``.npz`` per block (Index-File + CSR-File slice) and
-can reload blocks from disk, so the system genuinely is disk-based; engines
-may skip the physical read (``physical=False``) because reported I/O time
-comes from the deterministic :class:`~repro.disk.iosim.DiskSim` model either
-way.
+*physically* writes one ``.npz`` per block (Index-File + CSR-File slice),
+and :meth:`BlockStore.read_block` reads blocks back from there. Engines do
+not read blocks: reported I/O time comes from the deterministic
+:class:`~repro.disk.iosim.DiskSim` model.
 """
 from __future__ import annotations
 
@@ -46,14 +45,12 @@ class BlockStore:
         *,
         params: IOParams | None = None,
         physical_dir: str | Path | None = None,
-        physical: bool = False,
     ) -> None:
         if part.n_vertices != csr.n:
             raise ValueError("partition and CSR disagree on vertex count")
         self.csr = csr
         self.part = part
         self.params = params or IOParams()
-        self.physical = physical
         self.dir = Path(physical_dir) if physical_dir is not None else None
         vb = self.params.value_bytes
         s = part.block_starts
@@ -115,8 +112,9 @@ class BlockStore:
             )
 
     def read_block(self, b: int) -> BlockSlice:
-        """Return block ``b``'s CSR slice, from disk if ``physical``."""
-        if self.physical and self.dir is not None:
+        """Return block ``b``'s CSR slice, from disk if the store has a
+        ``physical_dir``."""
+        if self.dir is not None:
             with np.load(self._block_path(b)) as z:
                 return BlockSlice(
                     bid=b,

@@ -1,21 +1,29 @@
-"""Shared engine machinery: walk pools, block slots, result container.
+"""Shared engine machinery: the engine loop, walk pools, block slots.
 
 Engines are driver-side schedulers over the :class:`~repro.disk.store.BlockStore`
 (the disk image built by Spark jobs). All state an engine keeps beyond the
 two in-memory blocks lives in :class:`WalkPools` — the on-disk walk pools of
 the paper (one per block) — and every pool load/persist is charged to the
 I/O simulator as sequential walk I/O.
+
+Every engine is the one loop of :func:`run_engine` — pick a pool, load its
+block, split it into buckets, load each ancillary block, step walks until
+they leave the resident pair, route the exits — under an
+:class:`EnginePolicy` that sets the five choices the engines differ in.
 """
 from __future__ import annotations
 
+import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
+from repro.engines.scheduling import Scheduler, make_scheduler
 from repro.graphs.csr import CSR
-from repro.walks.models import Recorder, WalkTask, done_mask
+from repro.walks.models import Recorder, WalkTask, advance, done_mask
 from repro.walks.state import WalkGroups, Walks
 
 
@@ -77,8 +85,6 @@ class BlockSlots:
             return False
         if len(self.resident) >= self.n_slots:
             self.resident.pop(0)
-        if self.store.physical:
-            self.store.read_block(b)  # genuine disk read (fidelity path)
         self.sim.charge_block_load(b, self.store.block_bytes(b))
         self.resident.append(b)
         return True
@@ -146,3 +152,86 @@ def make_recorder(
     )
     rec.on_start(starts)
     return rec
+
+
+class EnginePolicy:
+    """The choices that tell one engine from another (paper §4, §7.3).
+
+    The defaults are the plainest engine: walks pooled with their current
+    block, which is fully loaded; one bucket per slot; no per-step reads;
+    exits pooled with their new current block. Engines override the hooks
+    they change; :func:`run_engine` calls them in a fixed order.
+    """
+
+    def __init__(self, store: BlockStore, sim: DiskSim) -> None:
+        self.store = store
+        self.sim = sim
+        self.bmap = store.block_map
+
+    def pool_of(self, walks: Walks) -> np.ndarray:
+        """Pool (block id) each walk is stored in: its current block."""
+        return self.bmap[walks.cur]
+
+    def load_current(self, b: int, walks: Walks) -> None:
+        """Bring current block ``b`` in for its pooled ``walks``, which may be
+        empty when the scheduler picks a walk-less block."""
+        self.sim.charge_block_load(b, self.store.block_bytes(b))
+
+    def buckets(self, b: int, walks: Walks) -> Iterator[tuple[int, Walks]]:
+        """Yield ``(i, bucket)`` per bucket execution, with ancillary block
+        ``i`` loaded (``i == b``: the current block alone). Code after a
+        ``yield`` runs once that bucket's walks have all left or finished."""
+        yield b, walks
+
+    def before_step(self, active: Walks, b: int, i: int) -> None:
+        """Charge the reads that make this step's vertices resident."""
+
+    def route(self, pools: WalkPools, leaving: Walks, curb: np.ndarray, b: int, i: int) -> None:
+        """Persist walks that left the resident pair (current blocks ``curb``)."""
+        pools.add_grouped(curb, leaving)
+
+
+def run_engine(
+    store: BlockStore,
+    task: WalkTask,
+    starts: Walks,
+    sched: Scheduler | str,
+    policy: EnginePolicy,
+    rec: Recorder | None,
+    name: str,
+) -> EngineResult:
+    """Run ``task`` from ``starts`` to completion under ``policy``.
+
+    Each time slot pops the pool the scheduler picks, loads its block and
+    executes its buckets; within a bucket the walks advance in lock step
+    until each finishes or leaves blocks ``{b, i}``. Counters go to
+    ``policy.sim``.
+    """
+    csr, bmap, sim = store.csr, store.block_map, policy.sim
+    sched = make_scheduler(sched) if isinstance(sched, str) else sched
+    sched.reset()
+    pools = WalkPools(sim, store.n_blocks)
+    _, live = split_done(task, csr, starts)
+    pools.add_grouped(policy.pool_of(live), live)
+
+    while pools.total():
+        b = sched.pick(pools)
+        if b is None:
+            break
+        walks = pools.pop(b)
+        policy.load_current(b, walks)
+        sim.time_slots += 1
+        if not len(walks):
+            continue  # Alphabet may schedule (and pay for) an empty block
+        for i, active in policy.buckets(b, walks):
+            sim.bucket_execs += 1
+            while len(active):
+                policy.before_step(active, b, i)
+                t0 = time.perf_counter()
+                advance(csr, task, active, rec)
+                sim.steps += len(active)
+                sim.exec_real_s += time.perf_counter() - t0
+                active, leaving, curb = split_step(task, csr, bmap, active, b, i)
+                if len(leaving):
+                    policy.route(pools, leaving, curb, b, i)
+    return EngineResult(name=name, sim=sim, recorder=rec)

@@ -18,30 +18,68 @@ Ancillary blocks are loaded through a :class:`~repro.engines.loading.BlockLoader
 """
 from __future__ import annotations
 
-import time
+from collections.abc import Iterator
 
 import numpy as np
 
 from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
 from repro.engines.base import (
+    EnginePolicy,
     EngineResult,
     WalkPools,
     make_recorder,
-    split_done,
-    split_step,
+    run_engine,
 )
 from repro.engines.loading import FULL, BlockLoader, LearnedLoadModel, LoadLogs
+from repro.engines.scheduling import IterationScheduler
 from repro.walks.buckets import ExtensionBuffers, collect_buckets
-from repro.walks.models import WalkTask, advance
+from repro.walks.models import WalkTask
 from repro.walks.state import Walks, skewed_block_of
 
 
-def _skewed_add(pools: WalkPools, block_map: np.ndarray, walks: Walks) -> None:
-    """Persist walks into pools under the skewed storage rule (§4.3.1)."""
-    if not len(walks):
-        return
-    pools.add_grouped(skewed_block_of(block_map[walks.prev], block_map[walks.cur]), walks)
+class BiBlockPolicy(EnginePolicy):
+    """Skewed storage, Eq. 4 buckets in triangular order, extension
+    buffers, and ancillary blocks through a :class:`BlockLoader`."""
+
+    def __init__(self, store: BlockStore, sim: DiskSim, loader: BlockLoader) -> None:
+        super().__init__(store, sim)
+        self.loader = loader
+        self.ext = ExtensionBuffers()
+
+    def pool_of(self, walks: Walks) -> np.ndarray:
+        """Skewed storage rule (§4.3.1)."""
+        return skewed_block_of(self.bmap[walks.prev], self.bmap[walks.cur])
+
+    def buckets(self, b: int, walks: Walks) -> Iterator[tuple[int, Walks]]:
+        bmap, loader = self.bmap, self.loader
+        buckets = collect_buckets(walks, bmap[walks.prev], bmap[walks.cur], b)
+        ext = self.ext  # empty: every slot drains it
+        for i in range(b, self.store.n_blocks):  # i == b is the hop-0 self-bucket
+            bucket = buckets.pop(i, None)
+            if i in ext:
+                staged = ext.drain(i)
+                bucket = staged if bucket is None else Walks.concat([bucket, staged])
+            if bucket is None:
+                continue
+            if i != b:
+                activated = np.concatenate([
+                    bucket.prev[bmap[bucket.prev] == i], bucket.cur[bmap[bucket.cur] == i]
+                ])
+                loader.load(i, len(bucket), activated)
+            yield i, bucket
+            if i != b:
+                loader.finish()
+        assert ext.is_empty(), "extension buffers must drain within the slot"
+
+    def before_step(self, active: Walks, b: int, i: int) -> None:
+        if self.loader.partial:
+            # On-demand residency for vertices used this step.
+            self.loader.ensure(active.cur[self.bmap[active.cur] == i])
+            self.loader.ensure(active.prev[self.bmap[active.prev] == i])
+
+    def route(self, pools: WalkPools, leaving: Walks, curb: np.ndarray, b: int, i: int) -> None:
+        _classify_exits(self.bmap, pools, self.ext, leaving, curb, b, i)
 
 
 def run_bi_block(
@@ -59,59 +97,11 @@ def run_bi_block(
 ) -> EngineResult:
     """Run the bi-block engine to completion. ``loading`` selects the
     ancillary block loading method: "full", "ondemand" or "learned"."""
-    csr = store.csr
-    nb = store.n_blocks
-    bmap = store.block_map
     sim = sim or DiskSim(params=store.params)
-    rec = make_recorder(csr, task, starts, record_paths, record_visits)
-    pools = WalkPools(sim, nb)
+    rec = make_recorder(store.csr, task, starts, record_paths, record_visits)
     loader = BlockLoader(store, sim, mode=loading, model=load_model, logs=load_logs)
-
-    _, live = split_done(task, csr, starts)
-    _skewed_add(pools, bmap, live)
-
-    while pools.total():
-        for b in range(nb):
-            if pools.counts[b] == 0:
-                continue
-            walks = pools.pop(b)
-            buckets = collect_buckets(walks, bmap[walks.prev], bmap[walks.cur], b)
-            ext = ExtensionBuffers()
-            if store.physical:
-                store.read_block(b)
-            sim.charge_block_load(b, store.block_bytes(b))  # current: always full
-            sim.time_slots += 1
-
-            for i in range(b, nb):  # i == b is the hop-0 self-bucket
-                bucket = buckets.pop(i, None)
-                if i in ext:
-                    staged = ext.drain(i)
-                    bucket = staged if bucket is None else Walks.concat([bucket, staged])
-                if bucket is None:
-                    continue
-                if i != b:
-                    activated = np.concatenate([
-                        bucket.prev[bmap[bucket.prev] == i], bucket.cur[bmap[bucket.cur] == i]
-                    ])
-                    loader.load(i, len(bucket), activated)
-                sim.bucket_execs += 1
-                active = bucket
-                while len(active):
-                    if loader.partial:
-                        # On-demand residency for vertices used this step.
-                        loader.ensure(active.cur[bmap[active.cur] == i])
-                        loader.ensure(active.prev[bmap[active.prev] == i])
-                    t0 = time.perf_counter()
-                    advance(csr, task, active, rec)
-                    sim.steps += len(active)
-                    sim.exec_real_s += time.perf_counter() - t0
-                    active, leaving, curb = split_step(task, csr, bmap, active, b, i)
-                    if len(leaving):
-                        _classify_exits(bmap, pools, ext, leaving, curb, b, i)
-                if i != b:
-                    loader.finish()
-            assert ext.is_empty(), "extension buffers must drain within the slot"
-    return EngineResult(name=name, sim=sim, recorder=rec)
+    policy = BiBlockPolicy(store, sim, loader)
+    return run_engine(store, task, starts, IterationScheduler(), policy, rec, name)
 
 
 def _classify_exits(

@@ -12,21 +12,37 @@ method:
 """
 from __future__ import annotations
 
-import time
+from collections.abc import Iterator
 
 from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
-from repro.engines.base import (
-    EngineResult,
-    WalkPools,
-    make_recorder,
-    split_done,
-    split_step,
-)
+from repro.engines.base import EnginePolicy, EngineResult, make_recorder, run_engine
 from repro.engines.loading import FULL, BlockLoader, LearnedLoadModel, LoadLogs
-from repro.engines.scheduling import Scheduler, make_scheduler
-from repro.walks.models import WalkTask, advance
+from repro.engines.scheduling import Scheduler
+from repro.walks.models import WalkTask
 from repro.walks.state import Walks
+
+
+class FirstOrderPolicy(EnginePolicy):
+    """One block slot, filled by a :class:`BlockLoader`."""
+
+    def __init__(self, store: BlockStore, sim: DiskSim, loader: BlockLoader) -> None:
+        super().__init__(store, sim)
+        self.loader = loader
+
+    def load_current(self, b: int, walks: Walks) -> None:
+        if len(walks):
+            self.loader.load(b, len(walks), walks.cur)
+        else:
+            super().load_current(b, walks)  # Alphabet pays for a walk-less block
+
+    def buckets(self, b: int, walks: Walks) -> Iterator[tuple[int, Walks]]:
+        yield b, walks
+        self.loader.finish()
+
+    def before_step(self, active: Walks, b: int, i: int) -> None:
+        if self.loader.partial:
+            self.loader.ensure(active.cur)  # every active walk is in block b
 
 
 def run_first_order(
@@ -45,70 +61,8 @@ def run_first_order(
 ) -> EngineResult:
     if not task.first_order:
         raise ValueError("run_first_order requires a first-order task")
-    csr = store.csr
     sim = sim or DiskSim(params=store.params)
-    sched = make_scheduler(scheduler) if isinstance(scheduler, str) else scheduler
-    sched.reset()
-    rec = make_recorder(csr, task, starts, record_paths, record_visits)
-    pools = WalkPools(sim, store.n_blocks)
+    rec = make_recorder(store.csr, task, starts, record_paths, record_visits)
     loader = BlockLoader(store, sim, mode=loading, model=load_model, logs=load_logs)
-
-    bmap = store.block_map
-    _, live = split_done(task, csr, starts)
-    pools.add_grouped(bmap[live.cur], live)
-
-    last = -1
-    while pools.total():
-        b = sched.pick(pools)
-        if b is None:
-            break
-        sim.time_slots += 1
-        active = pools.pop(b)
-        if b == last and not len(active):
-            continue
-        if not len(active):
-            # Alphabet pays for loading a walk-less block.
-            if store.physical:
-                store.read_block(b)
-            sim.charge_block_load(b, store.block_bytes(b))
-            last = b
-            continue
-        loader.load(b, len(active), active.cur)
-        last = b
-        sim.bucket_execs += 1
-        while len(active):
-            if loader.partial:
-                loader.ensure(active.cur)  # every active walk is in block b
-            t0 = time.perf_counter()
-            advance(csr, task, active, rec)
-            sim.steps += len(active)
-            sim.exec_real_s += time.perf_counter() - t0
-            active, leaving, curb = split_step(task, csr, bmap, active, b, b)
-            pools.add_grouped(curb, leaving)
-        loader.finish()
-    return EngineResult(name=name, sim=sim, recorder=rec)
-
-
-def graphwalker_engine(store, task, starts, **kw) -> EngineResult:
-    """GraphWalker baseline: state-aware scheduling, full load."""
-    return run_first_order(
-        store, task, starts, scheduler="graphwalker", loading=FULL,
-        name="GraphWalker", **kw,
-    )
-
-
-def grasorw_first_order(
-    store,
-    task,
-    starts,
-    *,
-    load_model: LearnedLoadModel | None = None,
-    **kw,
-) -> EngineResult:
-    """GraSorw first-order mode: Iteration scheduling (+ optional LBL)."""
-    loading = "learned" if load_model is not None else FULL
-    name = "GraSorw" if load_model is not None else "GraSorw-No-LBL"
-    return run_first_order(
-        store, task, starts, scheduler="iteration", loading=loading,
-        load_model=load_model, name=name, **kw,
-    )
+    policy = FirstOrderPolicy(store, sim, loader)
+    return run_engine(store, task, starts, scheduler, policy, rec, name)

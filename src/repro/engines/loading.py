@@ -170,8 +170,6 @@ class BlockLoader:
         self._chosen = chosen
         self._t_start = self.sim.block_io_s + self.sim.ondemand_io_s
         if chosen == FULL:
-            if self.store.physical:
-                self.store.read_block(bid)
             self.sim.charge_block_load(bid, self.store.block_bytes(bid))
             self._loaded = None
         elif chosen == ONDEMAND:

@@ -12,20 +12,27 @@ rather than sequential ancillary loads.
 """
 from __future__ import annotations
 
-import time
+from collections.abc import Iterator
 
 from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
-from repro.engines.base import (
-    EngineResult,
-    WalkPools,
-    make_recorder,
-    split_done,
-    split_step,
-)
-from repro.engines.scheduling import Scheduler, make_scheduler
-from repro.walks.models import WalkTask, advance
+from repro.engines.base import EnginePolicy, EngineResult, make_recorder, run_engine
+from repro.engines.scheduling import Scheduler
+from repro.walks.models import WalkTask
 from repro.walks.state import Walks, split_by_key
+
+
+class PBPolicy(EnginePolicy):
+    """Buckets by previous block, ancillaries fully loaded in ascending id."""
+
+    def buckets(self, b: int, walks: Walks) -> Iterator[tuple[int, Walks]]:
+        # Hop-0 walks form the self-bucket b.
+        prev_b = self.bmap[walks.prev]
+        prev_b[prev_b < 0] = b
+        for i, bucket in split_by_key(walks, prev_b):
+            if i != b:  # self-bucket needs no ancillary block
+                self.sim.charge_block_load(i, self.store.block_bytes(i))
+            yield i, bucket
 
 
 def run_plain_bucket(
@@ -38,46 +45,6 @@ def run_plain_bucket(
     record_paths: bool = False,
     record_visits: bool = False,
 ) -> EngineResult:
-    csr = store.csr
     sim = sim or DiskSim(params=store.params)
-    sched = make_scheduler(scheduler) if isinstance(scheduler, str) else scheduler
-    sched.reset()
-    rec = make_recorder(csr, task, starts, record_paths, record_visits)
-    pools = WalkPools(sim, store.n_blocks)
-
-    bmap = store.block_map
-    _, live = split_done(task, csr, starts)
-    pools.add_grouped(bmap[live.cur], live)
-
-    last_current = -1
-    while pools.total():
-        b = sched.pick(pools)
-        if b is None:
-            break
-        if b != last_current:
-            if store.physical:
-                store.read_block(b)
-            sim.charge_block_load(b, store.block_bytes(b))
-        last_current = b
-        sim.time_slots += 1
-        walks = pools.pop(b)
-        if not len(walks):
-            continue
-        # Buckets by previous block; hop-0 walks form the self-bucket b.
-        prev_b = bmap[walks.prev]
-        prev_b[prev_b < 0] = b
-        for i, bucket in split_by_key(walks, prev_b):
-            if i != b:  # self-bucket needs no ancillary block
-                if store.physical:
-                    store.read_block(i)
-                sim.charge_block_load(i, store.block_bytes(i))
-            sim.bucket_execs += 1
-            active = bucket
-            while len(active):
-                t0 = time.perf_counter()
-                advance(csr, task, active, rec)
-                sim.steps += len(active)
-                sim.exec_real_s += time.perf_counter() - t0
-                active, leaving, curb = split_step(task, csr, bmap, active, b, i)
-                pools.add_grouped(curb, leaving)
-    return EngineResult(name="PB", sim=sim, recorder=rec)
+    rec = make_recorder(store.csr, task, starts, record_paths, record_visits)
+    return run_engine(store, task, starts, scheduler, PBPolicy(store, sim), rec, "PB")

@@ -17,20 +17,24 @@ in the Table 8 reproduction:
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.engines.base import WalkPools
 from repro.rng import unit_hash
+
+if TYPE_CHECKING:
+    from repro.engines.base import WalkPools
 
 SALT_SCHED = 9
 
 
 class Scheduler:
-    """Picks the next current block; returns None when no walks remain."""
+    """Picks the next current block; returns None when no walks remain.
 
-    #: if False, the strategy may select (and the engine must load) a block
-    #: whose pool is empty — the Alphabet behaviour.
-    skip_empty: bool = True
+    Only Alphabet may pick a block whose pool is empty; the engine still
+    loads it.
+    """
 
     def pick(self, pools: WalkPools) -> int | None:  # pragma: no cover - interface
         raise NotImplementedError
@@ -41,8 +45,6 @@ class Scheduler:
 
 class AlphabetScheduler(Scheduler):
     """Cycle 0..N_B-1 without skipping empty blocks."""
-
-    skip_empty = False
 
     def __init__(self) -> None:
         self._next = 0

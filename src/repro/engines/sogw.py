@@ -13,23 +13,39 @@ non-resident previous vertex.
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
-from repro.engines.base import (
-    BlockSlots,
-    EngineResult,
-    WalkPools,
-    make_recorder,
-    split_done,
-    split_step,
-)
-from repro.engines.scheduling import Scheduler, make_scheduler
-from repro.walks.models import WalkTask, advance
+from repro.engines.base import BlockSlots, EnginePolicy, EngineResult, make_recorder, run_engine
+from repro.engines.scheduling import Scheduler
+from repro.walks.models import WalkTask
 from repro.walks.state import Walks
+
+
+class SOGWPolicy(EnginePolicy):
+    """Two LRU block slots; a light vertex I/O per step whose previous
+    vertex is neither resident nor in ``static_cache``."""
+
+    def __init__(
+        self, store: BlockStore, sim: DiskSim, task: WalkTask, static_cache: np.ndarray | None
+    ) -> None:
+        super().__init__(store, sim)
+        self.slots = BlockSlots(store, sim, n_slots=2)
+        self.second_order = not task.first_order
+        self.static_cache = static_cache
+
+    def load_current(self, b: int, walks: Walks) -> None:
+        self.slots.ensure(b)
+
+    def before_step(self, active: Walks, b: int, i: int) -> None:
+        if not self.second_order:
+            return
+        prev_b = self.bmap[active.prev]
+        need = (prev_b >= 0) & ~self.slots.has_block(prev_b)
+        if self.static_cache is not None:
+            need &= ~self.static_cache[np.maximum(active.prev, 0)]
+        self.sim.charge_vertex_fetch(self.store.vertex_seg_bytes(active.prev[need]))
 
 
 def run_sogw(
@@ -49,40 +65,7 @@ def run_sogw(
     ``static_cache`` is a boolean per-vertex array: True = the vertex's
     adjacency is pinned in memory, so no vertex I/O is needed for it.
     """
-    csr = store.csr
     sim = sim or DiskSim(params=store.params)
-    sched = make_scheduler(scheduler) if isinstance(scheduler, str) else scheduler
-    sched.reset()
-    rec = make_recorder(csr, task, starts, record_paths, record_visits)
-    pools = WalkPools(sim, store.n_blocks)
-    slots = BlockSlots(store, sim, n_slots=2)
-
-    bmap = store.block_map
-    _, live = split_done(task, csr, starts)
-    pools.add_grouped(bmap[live.cur], live)
-
-    while pools.total():
-        b = sched.pick(pools)
-        if b is None:
-            break
-        slots.ensure(b)
-        sim.time_slots += 1
-        if pools.counts[b] == 0:
-            continue  # Alphabet may schedule (and pay for) an empty block
-        active = pools.pop(b)
-        sim.bucket_execs += 1
-        while len(active):
-            t0 = time.perf_counter()
-            # Light vertex I/Os: previous vertex not resident and not cached.
-            if not task.first_order:
-                prev_b = bmap[active.prev]
-                need = (prev_b >= 0) & ~slots.has_block(prev_b)
-                if static_cache is not None:
-                    need &= ~static_cache[np.maximum(active.prev, 0)]
-                sim.charge_vertex_fetch(store.vertex_seg_bytes(active.prev[need]))
-            advance(csr, task, active, rec)
-            sim.steps += len(active)
-            sim.exec_real_s += time.perf_counter() - t0
-            active, leaving, curb = split_step(task, csr, bmap, active, b, b)
-            pools.add_grouped(curb, leaving)
-    return EngineResult(name=name, sim=sim, recorder=rec)
+    rec = make_recorder(store.csr, task, starts, record_paths, record_visits)
+    policy = SOGWPolicy(store, sim, task, static_cache)
+    return run_engine(store, task, starts, scheduler, policy, rec, name)

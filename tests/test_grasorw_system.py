@@ -38,11 +38,8 @@ class TestBuild:
 
     def test_physical_build(self, spark, tmp_path):
         edges = er_pairs_graph(spark, n=40, m=100, seed=59)
-        sys2 = GraphSystem.build(
-            edges, 40, n_blocks=3, physical_dir=tmp_path, physical=True
-        )
+        sys2 = GraphSystem.build(edges, 40, n_blocks=3, physical_dir=tmp_path)
         assert len(list(tmp_path.glob("block_*.npz"))) == 3
-        # engine runs fine through the physical read path
         cfg = RWNVConfig(walks_per_vertex=1, length=5)
         res = sys2.run("GraSorw", cfg.task(), cfg.starts(sys2.csr))
         assert res.sim.steps > 0

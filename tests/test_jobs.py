@@ -1,4 +1,4 @@
-"""Smoke tests for the spark-submit job entrypoints (jobs/)."""
+"""Smoke tests for the spark-submit job entrypoint (jobs/run_table.py)."""
 import importlib.util
 import sys
 from pathlib import Path
@@ -10,6 +10,16 @@ import repro.core.tables as T
 from .test_tables import MINI2, MINI5
 
 JOBS_DIR = Path(__file__).resolve().parents[1] / "jobs"
+TABLE_ARGS = [
+    ("table2", []),
+    ("table5", []),
+    ("table3", ["--datasets", "mini_social"]),
+    ("table4", ["--datasets", "mini_web"]),
+    ("table6", ["--datasets", "mini_dense"]),
+    ("table7", ["--datasets", "mini_social"]),
+    ("table8", ["--datasets", "mini_social"]),
+    ("e2e", ["--datasets", "mini_social"]),
+]
 
 
 def _load_job(name):
@@ -28,29 +38,17 @@ def mini_registry(monkeypatch):
     yield
 
 
-@pytest.mark.parametrize(
-    "job,args",
-    [
-        ("table2_datasets", []),
-        ("table5_synth_stats", []),
-        ("table3_engines", ["--datasets", "mini_social"]),
-        ("table4_loading", ["--datasets", "mini_web"]),
-        ("table6_synth", ["--datasets", "mini_dense"]),
-        ("table7_first_order", ["--datasets", "mini_social"]),
-        ("table8_scheduling", ["--datasets", "mini_social"]),
-        ("e2e_performance", ["--datasets", "mini_social"]),
-    ],
-)
-def test_job_main_runs(spark, capsys, tmp_path, job, args):
-    mod = _load_job(job)
-    out = tmp_path / f"{job}.txt"
-    mod.main(args + ["--out", str(out)])
+@pytest.mark.parametrize("table,args", TABLE_ARGS)
+def test_job_main_runs(spark, capsys, tmp_path, table, args):
+    mod = _load_job("run_table")
+    out = tmp_path / f"{table}.txt"
+    mod.main([table, *args, "--out", str(out)])
     captured = capsys.readouterr().out
     assert "##" in captured  # the formatted table header
     assert out.exists() and out.read_text().strip()
 
 
 def test_all_jobs_have_main():
-    for f in JOBS_DIR.glob("table*.py"):
-        mod = _load_job(f.stem)
-        assert hasattr(mod, "main")
+    mod = _load_job("run_table")
+    assert hasattr(mod, "main")
+    assert sorted(mod.TABLES) == sorted(t for t, _ in TABLE_ARGS)

@@ -1,74 +1,43 @@
-"""Tests for the provided DuckDB oracle and TPC-H-lite generators."""
-import numpy as np
-import pandas as pd
+"""Tests for the DuckDB oracle, on a generator's edge DataFrame."""
 import pytest
 from pyspark.sql import functions as F
 
-from repro import synth_data
+from repro.graphs.generators import er_pairs_graph
 from repro.oracle import assert_equivalent
+
+DEG_SQL = "SELECT src, COUNT(*) AS deg FROM edges GROUP BY src"
 
 
 class TestOracle:
     def test_passes_on_equal(self, spark):
-        li = synth_data.lineitem(spark, sf=0.001)
-        got = li.groupBy("l_returnflag").agg(
-            F.count("*").cast("long").alias("cnt"),
-            F.round(F.sum("l_quantity"), 6).alias("qty"),
+        edges = er_pairs_graph(spark, n=50, m=150, seed=3)
+        got = edges.groupBy("src").agg(
+            F.count("*").cast("long").alias("deg"),
+            F.round(F.avg("dst"), 6).alias("mean_dst"),
         )
         assert_equivalent(
             got,
             """
-            SELECT l_returnflag, COUNT(*) AS cnt,
-                   ROUND(SUM(l_quantity), 6) AS qty
-            FROM lineitem GROUP BY l_returnflag
+            SELECT src, COUNT(*) AS deg, ROUND(AVG(dst), 6) AS mean_dst
+            FROM edges GROUP BY src
             """,
-            lineitem=li,
+            edges=edges,
         )
 
     def test_fails_on_wrong_result(self, spark):
-        li = synth_data.lineitem(spark, sf=0.001)
-        wrong = li.groupBy("l_returnflag").agg((F.count("*") + 1).alias("cnt"))
+        edges = er_pairs_graph(spark, n=50, m=150, seed=3)
+        wrong = edges.groupBy("src").agg((F.count("*") + 1).alias("deg"))
         with pytest.raises(AssertionError):
-            assert_equivalent(
-                wrong,
-                "SELECT l_returnflag, COUNT(*) AS cnt FROM lineitem GROUP BY l_returnflag",
-                lineitem=li,
-            )
+            assert_equivalent(wrong, DEG_SQL, edges=edges)
 
     def test_fails_on_column_mismatch(self, spark):
-        li = synth_data.lineitem(spark, sf=0.001)
-        got = li.groupBy("l_returnflag").agg(F.count("*").alias("n"))
+        edges = er_pairs_graph(spark, n=50, m=150, seed=3)
+        got = edges.groupBy("src").agg(F.count("*").alias("n"))
         with pytest.raises(AssertionError, match="column mismatch"):
-            assert_equivalent(
-                got,
-                "SELECT l_returnflag, COUNT(*) AS cnt FROM lineitem GROUP BY l_returnflag",
-                lineitem=li,
-            )
+            assert_equivalent(got, DEG_SQL, edges=edges)
 
     def test_accepts_pandas_tables(self, spark):
-        pdf = pd.DataFrame({"k": [1, 1, 2], "v": [1.0, 2.0, 3.0]})
-        got = spark.createDataFrame(pdf).groupBy("k").agg(
-            F.sum("v").alias("s")
-        )
-        assert_equivalent(got, "SELECT k, SUM(v) AS s FROM t GROUP BY k", t=pdf)
-
-
-class TestSynthData:
-    def test_lineitem_deterministic(self, spark):
-        a = synth_data.lineitem(spark, sf=0.001, seed=5).toPandas()
-        b = synth_data.lineitem(spark, sf=0.001, seed=5).toPandas()
-        pd.testing.assert_frame_equal(a, b)
-
-    def test_zipf_skew(self, spark):
-        df = synth_data.zipf_keys(spark, n=20_000, n_keys=1000, alpha=1.2).toPandas()
-        counts = df["k"].value_counts()
-        assert counts.iloc[0] > 20 * counts.median()
-
-    def test_uniform_keys_flat(self, spark):
-        df = synth_data.uniform_keys(spark, n=20_000, n_keys=100).toPandas()
-        counts = np.bincount(df["k"], minlength=101)[1:]
-        assert counts.max() < 2.0 * counts.mean()
-
-    def test_orders_schema(self, spark):
-        o = synth_data.orders(spark, sf=0.001)
-        assert {"o_orderkey", "o_custkey", "o_totalprice"} <= set(o.columns)
+        edges = er_pairs_graph(spark, n=50, m=150, seed=3)
+        pdf = edges.toPandas()
+        got = spark.createDataFrame(pdf).groupBy("src").agg(F.count("*").alias("deg"))
+        assert_equivalent(got, DEG_SQL, edges=pdf)

@@ -7,7 +7,7 @@ from repro.graphs.csr import csr_from_arrays
 from repro.graphs.partition import Partition
 from repro.rng import unit_hash
 from repro.walks.models import WalkTask, batch_step
-from repro.walks.state import Walks, decode_walks, encode_walks, skewed_block_of
+from repro.walks.state import Walks, skewed_block_of
 
 
 @st.composite
@@ -67,30 +67,6 @@ class TestStorageProperties:
         out = skewed_block_of(pb, cb)
         for i, (a, b) in enumerate(pairs):
             assert out[i] == (b if a < 0 else min(a, b))
-
-    @given(st.integers(1, 200), st.integers(1, 8), st.integers(0, 500))
-    @settings(max_examples=100, deadline=None)
-    def test_encoding_roundtrip(self, n, nb, seed):
-        rng = np.random.default_rng(seed)
-        starts = np.unique(
-            np.concatenate([[0], rng.integers(1, max(2, n), nb - 1), [n]])
-        ).astype(np.int64)
-        part = Partition(starts)
-        k = 20
-        cur = rng.integers(0, n, k)
-        prev = np.where(rng.random(k) < 0.2, -1, rng.integers(0, n, k))
-        w = Walks(
-            wid=np.arange(k), src=rng.integers(0, n, k),
-            prev=prev, cur=cur, hop=rng.integers(0, 1024, k),
-        )
-        cb = part.block_of(cur)
-        pb = np.where(prev < 0, -1, part.block_of(np.maximum(prev, 0)))
-        w0, w1 = encode_walks(w, pb, cb, part.block_starts)
-        d = decode_walks(w0, w1, part.block_starts, wid=w.wid)
-        assert np.array_equal(d.src, w.src)
-        assert np.array_equal(d.prev, w.prev)
-        assert np.array_equal(d.cur, w.cur)
-        assert np.array_equal(d.hop, w.hop)
 
 
 class TestPartitionProperties:

@@ -58,7 +58,6 @@ class TestStrategies:
         s = AlphabetScheduler()
         pools = _pools([0, 2, 0, 3])
         assert [s.pick(pools) for _ in range(4)] == [0, 1, 2, 3]
-        assert s.skip_empty is False
 
     def test_all_return_none_when_done(self):
         pools = _pools([0, 0, 0])

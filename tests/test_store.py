@@ -64,9 +64,7 @@ class TestBlockSlices:
 
     def test_physical_roundtrip(self, tmp_path):
         csr = random_csr(40, 120, seed=2)
-        store = BlockStore(
-            csr, even_partition(40, 4), physical_dir=tmp_path, physical=True
-        )
+        store = BlockStore(csr, even_partition(40, 4), physical_dir=tmp_path)
         files = sorted(tmp_path.glob("block_*.npz"))
         assert len(files) == 4
         for b in range(4):
@@ -77,9 +75,7 @@ class TestBlockSlices:
 
     def test_physical_blocks_tile_the_graph(self, tmp_path):
         csr = random_csr(50, 140, seed=3)
-        store = BlockStore(
-            csr, even_partition(50, 5), physical_dir=tmp_path, physical=True
-        )
+        store = BlockStore(csr, even_partition(50, 5), physical_dir=tmp_path)
         rebuilt = np.concatenate(
             [store.read_block(b).indices for b in range(5)]
         )

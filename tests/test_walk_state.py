@@ -1,8 +1,7 @@
-"""Tests for walk state, 128-bit encoding, skewed storage (repro.walks.state)."""
+"""Tests for walk state and skewed storage (repro.walks.state)."""
 import numpy as np
-import pytest
 
-from repro.walks.state import Walks, decode_walks, encode_walks, skewed_block_of
+from repro.walks.state import Walks, skewed_block_of
 
 
 class TestWalks:
@@ -47,73 +46,3 @@ class TestSkewedStorage:
         pb = np.array([-1, -1, 2])
         cb = np.array([4, 0, 1])
         assert list(skewed_block_of(pb, cb)) == [4, 0, 1]
-
-
-class TestEncoding:
-    def _roundtrip(self, walks, prev_b, cur_b, starts):
-        w0, w1 = encode_walks(walks, prev_b, cur_b, starts)
-        assert w0.dtype == np.uint64 and w1.dtype == np.uint64
-        return decode_walks(w0, w1, starts, wid=walks.wid)
-
-    def test_roundtrip(self):
-        starts = np.array([0, 100, 250, 400])
-        w = Walks(
-            wid=np.array([0, 1, 2]),
-            src=np.array([3, 150, 399]),
-            prev=np.array([42, -1, 260]),
-            cur=np.array([120, 7, 300]),
-            hop=np.array([5, 0, 1023]),
-        )
-        prev_b = np.array([0, -1, 2])
-        cur_b = np.array([1, 0, 2])
-        d = self._roundtrip(w, prev_b, cur_b, starts)
-        assert np.array_equal(d.src, w.src)
-        assert np.array_equal(d.prev, w.prev)
-        assert np.array_equal(d.cur, w.cur)
-        assert np.array_equal(d.hop, w.hop)
-        assert np.array_equal(d.wid, w.wid)
-
-    def test_is_128_bits(self):
-        """Paper Fig. 7: a walk fits in exactly two 64-bit words."""
-        starts = np.array([0, 10])
-        w = Walks.from_sources(np.array([0]), np.array([3]))
-        w0, w1 = encode_walks(w, np.array([-1]), np.array([0]), starts)
-        assert w0.itemsize + w1.itemsize == 16
-
-    def test_hop_limit_enforced(self):
-        """Paper §6.1: at most 1024 steps per walk."""
-        starts = np.array([0, 10])
-        w = Walks(
-            wid=np.array([0]), src=np.array([1]), prev=np.array([2]),
-            cur=np.array([3]), hop=np.array([1024]),
-        )
-        with pytest.raises(OverflowError):
-            encode_walks(w, np.array([0]), np.array([0]), starts)
-
-    def test_block_limit_enforced(self):
-        """Paper §6.1: at most 1024 blocks."""
-        starts = np.zeros(2000, dtype=np.int64)
-        w = Walks(
-            wid=np.array([0]), src=np.array([1]), prev=np.array([2]),
-            cur=np.array([0]), hop=np.array([0]),
-        )
-        with pytest.raises(OverflowError):
-            encode_walks(w, np.array([0]), np.array([1500]), starts)
-
-    def test_many_random_roundtrips(self):
-        rng = np.random.default_rng(0)
-        starts = np.array([0, 50, 120, 300, 500])
-        n = 500
-        cur = rng.integers(0, 500, n)
-        cur_b = np.searchsorted(starts, cur, side="right") - 1
-        w = Walks(
-            wid=np.arange(n),
-            src=rng.integers(0, 500, n),
-            prev=np.where(rng.random(n) < 0.1, -1, rng.integers(0, 500, n)),
-            cur=cur,
-            hop=rng.integers(0, 1024, n),
-        )
-        prev_b = np.where(w.prev < 0, -1, np.searchsorted(starts, np.maximum(w.prev, 0), side="right") - 1)
-        d = self._roundtrip(w, prev_b, cur_b, starts)
-        for f in ("src", "prev", "cur", "hop"):
-            assert np.array_equal(getattr(d, f), getattr(w, f)), f
