@@ -159,6 +159,13 @@ def current() -> dict:
     return json.loads(json.dumps(compute()))
 
 
+def _assert_cell_equal(golden: dict, current: dict, cell: str) -> None:
+    for engine, want in golden[cell].items():
+        got = current[cell][engine]
+        for field in sorted(set(want) | set(got)):
+            assert got.get(field) == want.get(field), f"{cell} {engine} {field}"
+
+
 def test_grid_is_complete(golden, current):
     assert sorted(current) == sorted(golden)
     for cell in golden:
@@ -168,11 +175,7 @@ def test_grid_is_complete(golden, current):
 @pytest.mark.parametrize("graph", ["random", "hub", "one_block", "singleton"])
 @pytest.mark.parametrize("task", ["rwnv_pq1", "rwnv_p.5q2", "prnv", "deepwalk"])
 def test_counters_equal_golden(golden, current, graph, task):
-    cell = f"{graph}/{task}"
-    for engine, want in golden[cell].items():
-        got = current[cell][engine]
-        for field in sorted(set(want) | set(got)):
-            assert got.get(field) == want.get(field), f"{cell} {engine} {field}"
+    _assert_cell_equal(golden, current, f"{graph}/{task}")
 
 
 @pytest.mark.parametrize("graph", ["random", "hub", "one_block", "singleton"])
@@ -182,10 +185,7 @@ def test_scheduler_counters_equal_golden(golden, current, scheduler, graph):
     cells = [c for c in golden if c.startswith(prefix)]
     assert len(cells) == 4
     for cell in cells:
-        for engine, want in golden[cell].items():
-            got = current[cell][engine]
-            for field in sorted(set(want) | set(got)):
-                assert got.get(field) == want.get(field), f"{cell} {engine} {field}"
+        _assert_cell_equal(golden, current, cell)
 
 
 def test_scheduler_grid_loads_empty_pools(golden):
