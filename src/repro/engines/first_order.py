@@ -12,11 +12,11 @@ method:
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
+import numpy as np
 
 from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
-from repro.engines.base import EnginePolicy, EngineResult, make_recorder, run_engine
+from repro.engines.base import EnginePolicy, EngineResult, SlotLog, make_recorder, run_engine
 from repro.engines.loading import FULL, BlockLoader, LearnedLoadModel, LoadLogs
 from repro.engines.scheduling import Scheduler
 from repro.walks.models import WalkTask
@@ -36,13 +36,12 @@ class FirstOrderPolicy(EnginePolicy):
         else:
             super().load_current(b, walks)  # Alphabet pays for a walk-less block
 
-    def buckets(self, b: int, walks: Walks) -> Iterator[tuple[int, Walks]]:
-        yield b, walks
-        self.loader.finish()
-
-    def before_step(self, active: Walks, b: int, i: int) -> None:
+    def before_step(self, active: Walks, b: int, bucket: np.ndarray | int) -> None:
         if self.loader.partial:
             self.loader.ensure(active.cur)  # every active walk is in block b
+
+    def close_slot(self, b: int, log: SlotLog | None) -> None:
+        self.loader.finish()
 
 
 def run_first_order(

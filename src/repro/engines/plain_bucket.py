@@ -8,31 +8,32 @@ starting from 0 — which makes most ancillary loads random, not sequential.
 Two block slots (current + ancillary) are kept in memory, so like the
 bi-block engine it performs no light vertex I/Os; the difference Table 3
 measures is purely scheduling: roughly twice the block I/Os and random
-rather than sequential ancillary loads.
+rather than sequential ancillary loads. As in the bi-block engine, a slot's
+buckets step as one batch and are charged in ascending id at slot end.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
+import numpy as np
 
 from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
-from repro.engines.base import EnginePolicy, EngineResult, make_recorder, run_engine
+from repro.engines.base import BucketPolicy, EngineResult, make_recorder, run_engine
+from repro.engines.loading import BlockLoader
 from repro.engines.scheduling import Scheduler
 from repro.walks.models import WalkTask
-from repro.walks.state import Walks, split_by_key
+from repro.walks.state import Walks
 
 
-class PBPolicy(EnginePolicy):
+class PBPolicy(BucketPolicy):
     """Buckets by previous block, ancillaries fully loaded in ascending id."""
 
-    def buckets(self, b: int, walks: Walks) -> Iterator[tuple[int, Walks]]:
-        # Hop-0 walks form the self-bucket b.
+    def __init__(self, store: BlockStore, sim: DiskSim) -> None:
+        super().__init__(store, sim, BlockLoader(store, sim))
+
+    def bucket_of(self, b: int, walks: Walks) -> np.ndarray:
         prev_b = self.bmap[walks.prev]
-        prev_b[prev_b < 0] = b
-        for i, bucket in split_by_key(walks, prev_b):
-            if i != b:  # self-bucket needs no ancillary block
-                self.sim.charge_block_load(i, self.store.block_bytes(i))
-            yield i, bucket
+        prev_b[prev_b < 0] = b  # hop-0 walks form the self-bucket b
+        return prev_b
 
 
 def run_plain_bucket(

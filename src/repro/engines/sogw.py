@@ -38,7 +38,7 @@ class SOGWPolicy(EnginePolicy):
     def load_current(self, b: int, walks: Walks) -> None:
         self.slots.ensure(b)
 
-    def before_step(self, active: Walks, b: int, i: int) -> None:
+    def before_step(self, active: Walks, b: int, bucket: np.ndarray | int) -> None:
         if not self.second_order:
             return
         prev_b = self.bmap[active.prev]

@@ -1,37 +1,34 @@
 """Bucket-based in-memory walk management (§4.3.2, Eq. 4).
 
-When block ``b`` is the current block, its (skewed-storage) walk pool is
-split into buckets keyed by the *other* block of each walk: bucket
+When block ``b`` is the current block, each walk of its (skewed-storage)
+pool belongs to the bucket keyed by the walk's *other* block: bucket
 ``B(cur)`` if the previous vertex is in ``b``, else bucket ``B(prev)``
 (Algorithm 1, lines 4–10). Walks that have not taken their first step yet
 (``prev == -1``) need only the current block and go into the self-bucket
-``b`` — the execution engine processes it first, with no ancillary block,
-which realizes the paper's initialization stage.
+``b`` — it runs with no ancillary block, which realizes the paper's
+initialization stage.
 
 Combined with skewed storage, every bucket key ``p`` of pool ``b`` satisfies
 ``p >= b`` (triangular property): this is what lets the triangular schedule
-iterate ancillary ids strictly upward.
+visit ancillary ids strictly upward. The engine keeps the key as a per-walk
+bucket id and steps all buckets of a slot together; a walk that satisfies
+the bucket-extending condition (Algorithm 2, line 14) is re-keyed in place.
 
-:class:`ExtensionBuffers` reproduces the per-thread append buffers of §6.3:
-walks that satisfy the bucket-extending condition (Algorithm 2, line 14) are
-staged in a buffer and merged into the bucket right before it executes.
+:class:`ExtensionBuffers` is the staging form of that extension, the
+per-thread append buffers of §6.3, from when buckets ran one at a time. No
+engine uses it any more; ``perfbench/tracing.py`` still wraps it by name.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.walks.state import WalkGroups, Walks, split_by_key
+from repro.walks.state import WalkGroups, Walks
 
 
-def collect_buckets(
-    walks: Walks, prev_block: np.ndarray, cur_block: np.ndarray, b: int
-) -> dict[int, Walks]:
-    """Split current walks into buckets per Eq. 4 (self-bucket ``b`` for
-    hop-0 walks). Returns {bucket_id: Walks} in ascending id, ids >= b."""
-    key = np.where(
-        prev_block < 0, b, np.where(prev_block == b, cur_block, prev_block)
-    )
-    return dict(split_by_key(walks, key))
+def collect_buckets(prev_block: np.ndarray, cur_block: np.ndarray, b: int) -> np.ndarray:
+    """Bucket id of each walk of pool ``b`` per Eq. 4 (self-bucket ``b``
+    for hop-0 walks); under skewed storage every id is ``>= b``."""
+    return np.where(prev_block < 0, b, np.where(prev_block == b, cur_block, prev_block))
 
 
 class ExtensionBuffers:

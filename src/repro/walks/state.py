@@ -5,8 +5,8 @@ of the paper's walk structs): one ``(k, 5)`` int64 array whose columns are
 wid, src, prev, cur and hop (:data:`WID` … :data:`HOP`). Selecting walks is
 one row gather, a contiguous row range is a view, and concatenation is one
 ``np.concatenate``. :func:`split_by_key` groups a table with one stable
-argsort, so routing walks to pools, buckets or extension buffers costs one
-gather however many keys there are.
+argsort, so routing walks to pools costs one gather however many keys
+there are.
 
 Ownership rule, which keeps in-place updates safe: ``select`` and
 ``concat`` always return a fresh table, and the groups of

@@ -1,6 +1,8 @@
 """Shared test utilities: deterministic toy graphs and stores (no Spark)."""
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 from repro.disk.iosim import DiskSim, IOParams
@@ -59,3 +61,44 @@ def star_graph_csr(n: int) -> CSR:
     src = np.concatenate([np.zeros(n - 1, dtype=np.int64), np.arange(1, n)])
     dst = np.concatenate([np.arange(1, n), np.zeros(n - 1, dtype=np.int64)])
     return csr_from_arrays(n, src, dst)
+
+
+@contextlib.contextmanager
+def residency_checked():
+    """Check, before every step of every engine, that the step reads only
+    resident blocks: each walk's current vertex lies in current block ``b``
+    or its bucket's block, and for the two-block engines so does each
+    second-order previous vertex (SOGW/SGSC fetch those by vertex I/O).
+
+    Yields a list that collects the number of walks each checked step
+    covered, so a caller can see that every step was checked.
+    """
+    from repro.engines.base import BucketPolicy, EnginePolicy
+    from repro.engines.first_order import FirstOrderPolicy
+    from repro.engines.sogw import SOGWPolicy
+
+    seen: list[int] = []
+
+    def wrap(before_step):
+        def checked(self, active, b, bucket):
+            curb = self.bmap[active.cur]
+            assert ((curb == b) | (curb == bucket)).all(), "current vertex not resident"
+            if isinstance(self, BucketPolicy):
+                prevb = self.bmap[active.prev]
+                assert ((prevb < 0) | (prevb == b) | (prevb == bucket)).all(), (
+                    "previous vertex not resident"
+                )
+            seen.append(len(active))
+            return before_step(self, active, b, bucket)
+
+        return checked
+
+    classes = (EnginePolicy, SOGWPolicy, FirstOrderPolicy)
+    saved = {cls: cls.__dict__["before_step"] for cls in classes}
+    try:
+        for cls, fn in saved.items():
+            cls.before_step = wrap(fn)
+        yield seen
+    finally:
+        for cls, fn in saved.items():
+            cls.before_step = fn

@@ -2,7 +2,7 @@
 import numpy as np
 
 from repro.walks.buckets import ExtensionBuffers, collect_buckets
-from repro.walks.state import Walks
+from repro.walks.state import Walks, split_by_key
 
 
 def _mk(prev_b, cur_b):
@@ -17,13 +17,20 @@ def _mk(prev_b, cur_b):
     )
 
 
+def _buckets(walks, prev_b, cur_b, b):
+    """{bucket id: walks} from the per-walk Eq. 4 keys."""
+    key = collect_buckets(prev_b, cur_b, b)
+    assert key.shape == (len(walks),)
+    return dict(split_by_key(walks, key))
+
+
 class TestCollectBuckets:
     def test_eq4_rule(self):
         """Bucket = B(cur) when prev is in the current block, else B(prev)."""
         prev_b = np.array([2, 2, 5, 7, -1])
         cur_b = np.array([4, 6, 2, 2, 2])
         walks = _mk(prev_b, cur_b)
-        buckets = collect_buckets(walks, prev_b, cur_b, b=2)
+        buckets = _buckets(walks, prev_b, cur_b, b=2)
         assert set(buckets) == {4, 6, 5, 7, 2}
         assert buckets[4].wid.tolist() == [0]
         assert buckets[6].wid.tolist() == [1]
@@ -40,7 +47,7 @@ class TestCollectBuckets:
         prev_b = np.where(flip, b, other)
         cur_b = np.where(flip, other, b)
         walks = _mk(prev_b, cur_b)
-        buckets = collect_buckets(walks, prev_b, cur_b, b=b)
+        buckets = _buckets(walks, prev_b, cur_b, b=b)
         assert all(k > b for k in buckets)
         assert sum(len(w) for w in buckets.values()) == 50
 
@@ -48,7 +55,7 @@ class TestCollectBuckets:
         prev_b = np.array([1, 1, 2, -1, 3])
         cur_b = np.array([2, 3, 1, 1, 1])
         walks = _mk(prev_b, cur_b)
-        buckets = collect_buckets(walks, prev_b, cur_b, b=1)
+        buckets = _buckets(walks, prev_b, cur_b, b=1)
         got = sorted(w for ws in buckets.values() for w in ws.wid.tolist())
         assert got == [0, 1, 2, 3, 4]
 

@@ -4,13 +4,17 @@
 and makes every charge as it happens. The engines step all buckets of a slot
 as one batch and replay the charges that depend on bucket order afterwards.
 That replay must put every float counter, every ``LoadLogs`` entry and the
-fitted load-model coefficients exactly where the oracle puts them; these
-hypothesis tests compare them with ``==``, together with the walk paths,
-across random graphs, partitions (one block, singleton blocks, even blocks,
-a hub-dominated graph), the second-order tasks, every loading mode of the
-bi-block engine and every scheduler of PB.
+fitted load-model coefficients exactly where the oracle puts them. These
+hypothesis tests compare them with ``==``, together with the walk paths and
+the sequence of simulated charges itself, across random graphs, partitions
+(one block, singleton blocks, even blocks, a hub-dominated graph), the
+second-order tasks, every loading mode of the bi-block engine and every
+scheduler of PB. The engine runs are also residency-checked before every
+step.
 """
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -18,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core.grasorw import GraphSystem
 from repro.core.tasks import PRNVConfig
+from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
 from repro.engines.loading import LoadLogs
 from repro.graphs.csr import CSR, csr_from_arrays
@@ -25,7 +30,7 @@ from repro.graphs.partition import Partition
 from repro.walks.models import WalkTask
 
 from . import sequential_oracle as oracle
-from .helpers import all_vertex_starts, even_partition
+from .helpers import all_vertex_starts, even_partition, residency_checked
 
 SCHEDULER_NAMES = ("alphabet", "iteration", "min_height", "max_sum", "graphwalker")
 PARTITIONS = ("one_block", "singleton", "even", "hub")
@@ -70,6 +75,37 @@ def _logs(logs: LoadLogs) -> tuple:
     return logs.bid, logs.eta, logs.t, logs.mode
 
 
+@contextlib.contextmanager
+def _charges():
+    """Record every charge that moves a ``DiskSim`` clock, in call order:
+    equal sequences give equal float sums, whatever the graph's size."""
+    calls: list[tuple] = []
+    saved = {k: DiskSim.__dict__[k] for k in
+             ("charge_block_load", "charge_vertex_fetch", "charge_walk_io")}
+
+    def block(self, bid, nbytes):
+        calls.append(("block", bid, nbytes))
+        saved["charge_block_load"](self, bid, nbytes)
+
+    def fetch(self, seg_bytes, kind="vertex"):
+        if len(seg_bytes):
+            calls.append((kind, len(seg_bytes), int(np.sum(seg_bytes))))
+        saved["charge_vertex_fetch"](self, seg_bytes, kind)
+
+    def walk(self, n_walks):
+        if n_walks:
+            calls.append(("walk", n_walks))
+        saved["charge_walk_io"](self, n_walks)
+
+    try:
+        DiskSim.charge_block_load, DiskSim.charge_vertex_fetch = block, fetch
+        DiskSim.charge_walk_io = walk
+        yield calls
+    finally:
+        for k, fn in saved.items():
+            setattr(DiskSim, k, fn)
+
+
 def _assert_same(got, want, label: str) -> None:
     assert _counters(got.sim) == _counters(want.sim), label
     assert np.array_equal(got.recorder.paths, want.recorder.paths), label
@@ -102,11 +138,15 @@ def test_bi_block_matches_bucket_at_a_time_oracle(case):
     for mode in ("full", "ondemand", "learned"):
         kw = {"load_model": model} if mode == "learned" else {}
         logs, want_logs = LoadLogs(), LoadLogs()
-        got = system.run("GraSorw", task, starts, loading=mode, load_logs=logs,
-                         record_paths=True, **kw)
-        want = oracle.run_bi_block(store, task, starts, sim=system.new_sim(), loading=mode,
-                                   load_logs=want_logs, record_paths=True, **kw)
+        with residency_checked(), _charges() as got_charges:
+            got = system.run("GraSorw", task, starts, loading=mode, load_logs=logs,
+                             record_paths=True, **kw)
+        with _charges() as want_charges:
+            want = oracle.run_bi_block(store, task, starts, sim=system.new_sim(),
+                                       loading=mode, load_logs=want_logs,
+                                       record_paths=True, **kw)
         _assert_same(got, want, mode)
+        assert got_charges == want_charges, mode
         assert _logs(logs) == _logs(want_logs), mode
 
 
@@ -117,7 +157,10 @@ def test_plain_bucket_matches_bucket_at_a_time_oracle(case):
     task, starts = _task(case["task"], store.csr, case["walk_seed"], case["max_len"])
     system = GraphSystem(store=store)
     for sched in SCHEDULER_NAMES:
-        got = system.run("PB", task, starts, scheduler=sched, record_paths=True)
-        want = oracle.run_plain_bucket(store, task, starts, sim=system.new_sim(),
-                                       scheduler=sched, record_paths=True)
+        with residency_checked(), _charges() as got_charges:
+            got = system.run("PB", task, starts, scheduler=sched, record_paths=True)
+        with _charges() as want_charges:
+            want = oracle.run_plain_bucket(store, task, starts, sim=system.new_sim(),
+                                           scheduler=sched, record_paths=True)
         _assert_same(got, want, sched)
+        assert got_charges == want_charges, sched

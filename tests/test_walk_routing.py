@@ -166,7 +166,7 @@ class TestOwnership:
         )
         pb = np.array([-1, 0, 1, 1, 2, 2])
         cb = np.array([0, 1, 1, 2, 2, 3])
-        buckets = collect_buckets(walks, pb, cb, b=0)
+        buckets = dict(split_by_key(walks, collect_buckets(pb, cb, b=0)))
         ext = ExtensionBuffers()
         pools = WalkPools(DiskSim(), 4)
         staged = buckets[1].select(np.array([0, 1, 0]))
@@ -209,28 +209,42 @@ class TestBlockMap:
 
 
 class TestSplitStep:
+    @staticmethod
+    def _stepped(alpha, n_blocks=5, max_len=4):
+        store, _ = toy_store(n=60, n_blocks=n_blocks)
+        task = WalkTask(max_len=max_len, alpha=alpha, seed=11)
+        _, walks = split_done(task, store.csr, all_vertex_starts(store.csr, 3))
+        advance(store.csr, task, walks, None)
+        return store, task, walks
+
     @pytest.mark.parametrize("pair", [(1, 1), (1, 3)])
     @pytest.mark.parametrize("alpha", [None, 0.6])
     def test_matches_split_done_then_block_masks(self, pair, alpha):
-        store, _ = toy_store(n=60, n_blocks=5)
-        csr = store.csr
-        task = WalkTask(max_len=4, alpha=alpha, seed=11)
-        _, walks = split_done(task, csr, all_vertex_starts(csr, 3))
-        advance(csr, task, walks, None)
+        store, task, walks = self._stepped(alpha)
         b, i = pair
-        _, alive = split_done(task, csr, walks)
-        curb = store.block_of(alive.cur)
-        out = (curb != b) & (curb != i)
-        stay, leave, leave_b = split_step(task, csr, store.block_map, walks, b, i)
-        assert np.array_equal(stay.data, alive.select(~out).data)
-        assert np.array_equal(leave.data, alive.select(out).data)
-        assert np.array_equal(leave_b, curb[out])
+        finished, alive = split_done(task, store.csr, walks)
+        curb = store.block_of(walks.cur)
+        done, out, blocks = split_step(task, store.csr, store.block_map, walks, b, i)
+        assert np.array_equal(walks.select(done).data, finished.data)
+        assert np.array_equal(walks.select(~done).data, alive.data)
+        assert np.array_equal(blocks, curb)
+        assert not (done & out).any()
+        assert np.array_equal(out[~done], (curb[~done] != b) & (curb[~done] != i))
+
+    @pytest.mark.parametrize("alpha", [None, 0.6])
+    def test_per_walk_bucket(self, alpha):
+        """Each walk leaves when it is outside ``b`` and its own bucket."""
+        store, task, walks = self._stepped(alpha)
+        bucket = np.random.default_rng(5).integers(1, 5, len(walks))
+        done, out, curb = split_step(task, store.csr, store.block_map, walks, 1, bucket)
+        for j in range(len(walks)):
+            want = (curb[j] != 1) & (curb[j] != bucket[j]) & ~done[j]
+            assert out[j] == want, j
+        assert out.any() and (~out & ~done).any()
 
     def test_nothing_leaves_returns_batch(self):
-        store, _ = toy_store(n=60, n_blocks=1)
-        csr = store.csr
-        task = WalkTask(max_len=50, seed=1)
-        _, walks = split_done(task, csr, all_vertex_starts(csr, 1))
-        advance(csr, task, walks, None)
-        stay, leave, leave_b = split_step(task, csr, store.block_map, walks, 0, 0)
-        assert stay is walks and len(leave) == 0 and len(leave_b) == 0
+        """With one block no walk can leave: ``out`` is all False, so the
+        whole batch stays but for its finished walks."""
+        store, task, walks = self._stepped(None, n_blocks=1, max_len=50)
+        done, out, curb = split_step(task, store.csr, store.block_map, walks, 0, 0)
+        assert not out.any() and not done.any() and not curb.any()
