@@ -1,17 +1,22 @@
-"""Bucket-at-a-time reference for the two bucket engines (bi-block and PB).
+"""Bucket-at-a-time reference for every engine.
 
-A test-only copy of the engine loop in which each Eq. 4 bucket of a time
-slot runs alone: its walks advance until every one has finished or left the
-resident pair ``{b, i}``, and every charge is made the moment it happens.
-The engines in ``repro.engines`` step all buckets of a slot as one batch and
-replay the bucket-order charges afterwards; ``tests/test_slot_lockstep.py``
-checks that both give the same counters, load logs and paths.
+A test-only copy of the engine loop in which each bucket of a time slot runs
+alone: its walks advance until every one has finished or left the resident
+pair ``{b, i}``, and every charge is made the moment it happens. Bi-block and
+PB split a slot into Eq. 4 / previous-block buckets; SOGW, SGSC and the
+first-order engines run a slot as the one bucket ``b``, fetching previous
+vertices (SOGW/SGSC) or on-demand current vertices (first-order) and writing
+exits step by step. The engines in ``repro.engines`` step all buckets of a
+slot as one batch and replay the bucket-order charges afterwards;
+``tests/test_slot_lockstep.py`` checks that both give the same counters,
+load logs and paths.
 
 Only the stable pieces of the program are reused: the pools, the block
-loader, the schedulers, the sampler, the Eq. 4 grouping and the extension
-buffers. The routing rules (Eq. 4 bucket keys, the residency split and
-Algorithm 2's exit cases) are copied here, so the oracle does not move when
-the program's versions of them do.
+slots, the block loader, the schedulers, the sampler, the static cache, the
+Eq. 4 grouping and the extension buffers. The routing rules (Eq. 4 bucket
+keys, the residency split and Algorithm 2's exit cases) and the charge rules
+are copied here, so the oracle does not move when the program's versions of
+them do.
 """
 from __future__ import annotations
 
@@ -21,9 +26,10 @@ import numpy as np
 
 from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
-from repro.engines.base import EngineResult, WalkPools, make_recorder
+from repro.engines.base import BlockSlots, EngineResult, WalkPools, make_recorder
 from repro.engines.loading import FULL, ONDEMAND, BlockLoader, LearnedLoadModel, LoadLogs
 from repro.engines.scheduling import IterationScheduler, Scheduler, make_scheduler
+from repro.engines.sgsc import build_static_cache
 from repro.walks.buckets import ExtensionBuffers
 from repro.walks.models import Recorder, WalkTask, advance, done_mask
 from repro.walks.state import Walks, skewed_block_of, split_by_key
@@ -60,6 +66,9 @@ class PBPolicy:
 
     def pool_of(self, walks: Walks) -> np.ndarray:
         return self.bmap[walks.cur]
+
+    def load_current(self, b: int, walks: Walks) -> None:
+        self.sim.charge_block_load(b, self.store.block_bytes(b))
 
     def buckets(self, b: int, walks: Walks) -> Iterator[tuple[int, Walks]]:
         prev_b = self.bmap[walks.prev]
@@ -119,6 +128,56 @@ class BiBlockPolicy(PBPolicy):
         classify_exits(self.bmap, pools, self.ext, leaving, curb, b, i)
 
 
+class SOGWPolicy(PBPolicy):
+    """One bucket per slot, two LRU block slots, and a vertex I/O per step
+    whose previous vertex is neither resident nor in ``static_cache``."""
+
+    def __init__(self, store: BlockStore, sim: DiskSim, task: WalkTask,
+                 static_cache: np.ndarray | None) -> None:
+        super().__init__(store, sim)
+        self.slots = BlockSlots(store, sim, n_slots=2)
+        self.second_order = not task.first_order
+        self.static_cache = static_cache
+
+    def load_current(self, b: int, walks: Walks) -> None:
+        self.slots.ensure(b)
+
+    def buckets(self, b: int, walks: Walks) -> Iterator[tuple[int, Walks]]:
+        yield b, walks
+
+    def before_step(self, active: Walks, b: int, i: int) -> None:
+        if not self.second_order:
+            return
+        prev_b = self.bmap[active.prev]
+        need = (prev_b >= 0) & ~self.slots.has_block(prev_b)
+        if self.static_cache is not None:
+            need &= ~self.static_cache[np.maximum(active.prev, 0)]
+        self.sim.charge_vertex_fetch(self.store.vertex_seg_bytes(active.prev[need]))
+
+
+class FirstOrderPolicy(PBPolicy):
+    """One bucket per slot in the one block slot, filled by a
+    :class:`BlockLoader`; on demand, each step fetches its current vertices."""
+
+    def __init__(self, store: BlockStore, sim: DiskSim, loader: BlockLoader) -> None:
+        super().__init__(store, sim)
+        self.loader = loader
+
+    def load_current(self, b: int, walks: Walks) -> None:
+        if len(walks):
+            self.loader.load(b, len(walks), walks.cur)
+        else:
+            super().load_current(b, walks)
+
+    def buckets(self, b: int, walks: Walks) -> Iterator[tuple[int, Walks]]:
+        yield b, walks
+        self.loader.finish()
+
+    def before_step(self, active: Walks, b: int, i: int) -> None:
+        if self.loader.partial:
+            self.loader.ensure(active.cur)
+
+
 def run_engine(store: BlockStore, task: WalkTask, starts: Walks, sched: Scheduler | str,
                policy, rec: Recorder | None, name: str) -> EngineResult:
     """Each slot: pop the picked pool, load its block, then run its buckets
@@ -134,7 +193,7 @@ def run_engine(store: BlockStore, task: WalkTask, starts: Walks, sched: Schedule
         if b is None:
             break
         walks = pools.pop(b)
-        sim.charge_block_load(b, store.block_bytes(b))
+        policy.load_current(b, walks)
         sim.time_slots += 1
         if not len(walks):
             continue
@@ -165,10 +224,41 @@ def run_plain_bucket(store: BlockStore, task: WalkTask, starts: Walks, *, sim: D
     return run_engine(store, task, starts, scheduler, PBPolicy(store, sim), rec, "PB")
 
 
-def train_load_model(store: BlockStore, task: WalkTask, starts: Walks,
-                     new_sim) -> tuple[LearnedLoadModel, LoadLogs]:
-    """§5.2.2 on the oracle: one full-load and one on-demand run, then the fit."""
+def run_sogw(store: BlockStore, task: WalkTask, starts: Walks, *, sim: DiskSim,
+             scheduler: str = "max_sum", static_cache: np.ndarray | None = None,
+             record_paths: bool = False, name: str = "SOGW") -> EngineResult:
+    rec = make_recorder(store.csr, task, starts, record_paths)
+    policy = SOGWPolicy(store, sim, task, static_cache)
+    return run_engine(store, task, starts, scheduler, policy, rec, name)
+
+
+def run_sgsc(store: BlockStore, task: WalkTask, starts: Walks, *, sim: DiskSim,
+             scheduler: str = "max_sum", record_paths: bool = False) -> EngineResult:
+    cache = build_static_cache(store, sim)
+    return run_sogw(store, task, starts, sim=sim, scheduler=scheduler, static_cache=cache,
+                    record_paths=record_paths, name="SGSC")
+
+
+def run_first_order(store: BlockStore, task: WalkTask, starts: Walks, *, sim: DiskSim,
+                    scheduler: str = "graphwalker", loading: str = FULL,
+                    load_model: LearnedLoadModel | None = None,
+                    load_logs: LoadLogs | None = None,
+                    record_paths: bool = False) -> EngineResult:
+    rec = make_recorder(store.csr, task, starts, record_paths)
+    loader = BlockLoader(store, sim, mode=loading, model=load_model, logs=load_logs)
+    policy = FirstOrderPolicy(store, sim, loader)
+    return run_engine(store, task, starts, scheduler, policy, rec, "GraphWalker")
+
+
+def train_load_model(store: BlockStore, task: WalkTask, starts: Walks, new_sim,
+                     first_order: bool = False) -> tuple[LearnedLoadModel, LoadLogs]:
+    """§5.2.2 on the oracle: one full-load and one on-demand run, then the fit
+    (first-order: on the one-block engine under Iteration-based scheduling)."""
     logs = LoadLogs()
     for mode in (FULL, ONDEMAND):
-        run_bi_block(store, task, starts, sim=new_sim(), loading=mode, load_logs=logs)
+        if first_order:
+            run_first_order(store, task, starts, sim=new_sim(), scheduler="iteration",
+                            loading=mode, load_logs=logs)
+        else:
+            run_bi_block(store, task, starts, sim=new_sim(), loading=mode, load_logs=logs)
     return LearnedLoadModel.fit(logs, store.n_blocks), logs

@@ -1,16 +1,17 @@
-"""The bucket engines against their bucket-at-a-time oracle, on random graphs.
+"""Every engine against its bucket-at-a-time oracle, on random graphs.
 
-``tests/sequential_oracle.py`` runs each Eq. 4 bucket of a time slot alone
-and makes every charge as it happens. The engines step all buckets of a slot
+``tests/sequential_oracle.py`` runs each bucket of a time slot alone and
+makes every charge as it happens. The engines step all buckets of a slot
 as one batch and replay the charges that depend on bucket order afterwards.
 That replay must put every float counter, every ``LoadLogs`` entry and the
 fitted load-model coefficients exactly where the oracle puts them. These
 hypothesis tests compare them with ``==``, together with the walk paths and
 the sequence of simulated charges itself, across random graphs, partitions
 (one block, singleton blocks, even blocks, a hub-dominated graph), the
-second-order tasks, every loading mode of the bi-block engine and every
-scheduler of PB. The engine runs are also residency-checked before every
-step.
+second-order tasks, every loading mode of the bi-block engine, every
+scheduler of PB, SOGW and SGSC, and the first-order engines under every
+scheduler and loading mode. The engine runs are also residency-checked
+before every step.
 """
 from __future__ import annotations
 
@@ -106,6 +107,15 @@ def _charges():
             setattr(DiskSim, k, fn)
 
 
+def _by_clock(calls: list[tuple]) -> dict[str, list[tuple]]:
+    """The charges of each ``DiskSim`` clock, in call order. Each clock is a
+    sum of its own, and only block loads carry state from one charge to the
+    next (sequential or random), so equal per-clock sequences give equal
+    counters even where an engine charges a slot's pool writes after its
+    vertex reads."""
+    return {k: [c for c in calls if c[0] == k] for k in ("block", "vertex", "ondemand", "walk")}
+
+
 def _assert_same(got, want, label: str) -> None:
     assert _counters(got.sim) == _counters(want.sim), label
     assert np.array_equal(got.recorder.paths, want.recorder.paths), label
@@ -164,3 +174,57 @@ def test_plain_bucket_matches_bucket_at_a_time_oracle(case):
                                            scheduler=sched, record_paths=True)
         _assert_same(got, want, sched)
         assert got_charges == want_charges, sched
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cases)
+def test_sogw_and_sgsc_match_bucket_at_a_time_oracle(case):
+    store = _graph(case["kind"], case["n"], case["density"], case["n_blocks"], case["graph_seed"])
+    task, starts = _task(case["task"], store.csr, case["walk_seed"], case["max_len"])
+    system = GraphSystem(store=store)
+    for engine, run in (("SOGW", oracle.run_sogw), ("SGSC", oracle.run_sgsc)):
+        for sched in SCHEDULER_NAMES:
+            label = f"{engine}/{sched}"
+            with residency_checked(), _charges() as got_charges:
+                got = system.run(engine, task, starts, scheduler=sched, record_paths=True)
+            with _charges() as want_charges:
+                want = run(store, task, starts, sim=system.new_sim(), scheduler=sched,
+                           record_paths=True)
+            _assert_same(got, want, label)
+            assert _by_clock(got_charges) == _by_clock(want_charges), label
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cases)
+def test_first_order_engines_match_bucket_at_a_time_oracle(case):
+    store = _graph(case["kind"], case["n"], case["density"], case["n_blocks"], case["graph_seed"])
+    task = WalkTask(max_len=case["max_len"], first_order=True, seed=case["walk_seed"])
+    starts = all_vertex_starts(store.csr, 2)
+    system = GraphSystem(store=store)
+
+    model, train_logs = system.train_load_model(task, starts, first_order=True)
+    want_model, want_train_logs = oracle.train_load_model(
+        store, task, starts, system.new_sim, first_order=True)
+    assert _logs(train_logs) == _logs(want_train_logs)
+    assert np.array_equal(model.coef, want_model.coef, equal_nan=True)
+
+    runs = [("GraphWalker", "graphwalker", "full")]
+    runs += [("GraSorw-FO", sched, "full") for sched in SCHEDULER_NAMES]
+    runs += [("GraSorw-FO", "iteration", mode) for mode in ("ondemand", "learned")]
+    for engine, sched, mode in runs:
+        label = f"{engine}/{sched}/{mode}"
+        kw = {"load_model": model} if mode == "learned" else {}
+        logs, want_logs = LoadLogs(), LoadLogs()
+        with residency_checked(), _charges() as got_charges:
+            if engine == "GraphWalker":
+                got = system.run(engine, task, starts, load_logs=logs, record_paths=True)
+            else:
+                got = system.run(engine, task, starts, scheduler=sched, loading=mode,
+                                 load_logs=logs, record_paths=True, **kw)
+        with _charges() as want_charges:
+            want = oracle.run_first_order(store, task, starts, sim=system.new_sim(),
+                                          scheduler=sched, loading=mode, load_logs=want_logs,
+                                          record_paths=True, **kw)
+        _assert_same(got, want, label)
+        assert got_charges == want_charges, label
+        assert _logs(logs) == _logs(want_logs), label
