@@ -81,9 +81,6 @@ class BlockStore:
     def block_bytes(self, b: int) -> int:
         return int(self._block_bytes[b])
 
-    def total_csr_bytes(self) -> int:
-        return int(self._block_bytes.sum())
-
     def vertex_seg_bytes(self, vs: np.ndarray) -> np.ndarray:
         """Bytes of each vertex's CSR segment fetched by a light vertex I/O:
         two index entries (start/end offset) + the neighbor list."""

@@ -9,15 +9,15 @@ I/O simulator as sequential walk I/O.
 Every engine is the one loop of :func:`run_engine` — pick a pool, load its
 block, step all of its buckets as one batch, each walk until it leaves the
 current block and its bucket's ancillary block, route the exits — under an
-:class:`EnginePolicy` that sets the choices the engines differ in. Where a
-slot has several buckets, the charges that depend on bucket order are
-recorded in a :class:`SlotLog` while the batch runs and replayed at slot end
-in bucket order, as a bucket-at-a-time engine makes them.
+:class:`EnginePolicy` that sets the choices the engines differ in. A slot of
+one bucket (SOGW, SGSC, first-order) is the same protocol with bucket ``b``
+alone. The charges that depend on bucket order are recorded in a
+:class:`SlotLog` while the batch runs and replayed at slot end in bucket
+order, as a bucket-at-a-time engine makes them.
 """
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,14 +133,13 @@ def split_step(
     block_map: np.ndarray,
     walks: Walks,
     b: int,
-    bucket: np.ndarray | int,
+    bucket: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Masks of a batch right after ``advance``: (done, out, blocks).
 
     ``done`` marks finished walks. ``out`` marks live walks whose current
-    block is neither ``b`` nor their bucket's block ``bucket`` (an array
-    with one id per walk, or one id for all). ``blocks`` holds every walk's
-    current block.
+    block is neither ``b`` nor their bucket's block ``bucket`` (one id per
+    walk). ``blocks`` holds every walk's current block.
     """
     done = done_mask(task, csr, walks)
     curb = block_map[walks.cur]
@@ -187,10 +186,11 @@ class SlotLog:
     runs: the walks entering each bucket (and, with ``vertices``, their
     vertices inside its ancillary block), the pool-bound exits of each
     (bucket, local step), and, with ``vertices``, the current vertices each
-    (bucket, local step) has in its ancillary block. :meth:`buckets` gives
-    them back in bucket order, then local-step order, so a replay sums every
-    float counter in the order a bucket-at-a-time run does. A walk's local
-    step counts its steps since it entered its bucket; ``width`` bounds it.
+    (bucket, local step) has in its ancillary block. :meth:`replay` makes
+    them in bucket order, then local-step order, so every float counter is
+    summed in the order a bucket-at-a-time run sums it. A walk's local step
+    counts its steps since it entered its bucket; ``width`` bounds it, and
+    its step key ``bucket·width + local step`` orders the charges.
     """
 
     def __init__(self, block_map: np.ndarray, width: int, vertices: bool) -> None:
@@ -202,61 +202,73 @@ class SlotLog:
         self._exits: list[np.ndarray] = []  # step key per pool-bound exit
         self._touched: list[tuple[np.ndarray, np.ndarray]] = []  # (step key, vertex)
 
-    def enter(self, bucket: np.ndarray, walks: Walks) -> None:
-        """``walks`` enter buckets ``bucket`` at local step 0. The log keeps
-        ``bucket``, so the caller must not write into it afterwards."""
+    def enter(self, bucket: np.ndarray, walks: Walks) -> np.ndarray:
+        """``walks`` enter buckets ``bucket`` at local step 0; returns their
+        step keys. The log keeps ``bucket``, so the caller must not write
+        into it afterwards."""
         self._entered.append(bucket)
         if self.vertices:
             for v in (walks.prev, walks.cur):
                 inside = self.bmap[v] == bucket
                 self._activated.append((bucket[inside], v[inside]))
+        return bucket * self.width
 
-    def touch(self, cur: np.ndarray, bucket: np.ndarray, local: np.ndarray) -> None:
-        """Walks about to take local step ``local`` of ``bucket`` from ``cur``."""
+    def touch(self, cur: np.ndarray, bucket: np.ndarray, key: np.ndarray) -> None:
+        """Walks of ``bucket`` about to take the step keyed ``key`` from ``cur``."""
         inside = self.bmap[cur] == bucket
-        self._touched.append((bucket[inside] * self.width + local[inside], cur[inside]))
+        self._touched.append((key[inside], cur[inside]))
 
-    def exit(self, bucket: np.ndarray, local: np.ndarray) -> None:
-        """Walks that left ``bucket`` for a pool on local step ``local``."""
-        self._exits.append(bucket * self.width + local)
+    def exit(self, key: np.ndarray) -> None:
+        """Walks that left their bucket for a pool on the steps keyed ``key``."""
+        self._exits.append(key)
 
-    def buckets(self) -> Iterator[tuple[int, int, np.ndarray, list[tuple[int, np.ndarray]]]]:
-        """Per bucket, ascending: (id, walks entered, their ancillary
-        vertices, steps), where ``steps`` holds (pool-bound exits, ancillary
-        current vertices) for each local step with either, ascending."""
+    def replay(self, b: int, sim: DiskSim, loader: BlockLoader) -> None:
+        """Charge slot ``b``'s buckets in ascending id: each bucket's
+        execution, its ancillary load (none for bucket ``b``), then per local
+        step with exits or ancillary vertices, ascending, the on-demand
+        fetches and the pool write, and last the close of the load."""
         w = self.width
         n_in = np.bincount(np.concatenate(self._entered))
         ids = np.flatnonzero(n_in)
+        lo = int(ids[0]) * w  # every step key lies in [lo, (ids[-1] + 1)·w)
+        n_out = np.bincount(
+            np.concatenate([*self._exits, _NONE]) - lo, minlength=int(ids[-1]) * w + w - lo
+        )
         activated, touched = _grouped(self._activated), _grouped(self._touched)
-        keys, n_out = np.unique(np.concatenate([*self._exits, _NONE]), return_counts=True)
-        exits = dict(zip(keys.tolist(), n_out.tolist()))
-        steps = np.array(sorted(exits.keys() | touched.keys()), dtype=np.int64)
-        lo, hi = np.searchsorted(steps, ids * w), np.searchsorted(steps, ids * w + w)
-        steps = steps.tolist()
-        for i, a, z in zip(ids.tolist(), lo.tolist(), hi.tolist()):
-            yield i, int(n_in[i]), activated.get(i, _NONE), [
-                (exits.get(k, 0), touched.get(k, _NONE)) for k in steps[a:z]
-            ]
+        has_step = n_out > 0
+        has_step[np.fromiter(touched, np.int64, len(touched)) - lo] = True
+        steps = np.flatnonzero(has_step)
+        cuts = [*np.searchsorted(steps, ids * w - lo).tolist(), len(steps)]
+        n_out, steps = n_out[steps].tolist(), (steps + lo).tolist()
+        for j, i in enumerate(ids.tolist()):
+            sim.bucket_execs += 1
+            if i != b:  # bucket b needs no ancillary block
+                loader.load(i, int(n_in[i]), activated.get(i, _NONE))
+            for k in range(cuts[j], cuts[j + 1]):
+                if loader.partial:  # loaded on demand: fetch what steps touch
+                    loader.ensure(touched.get(steps[k], _NONE))
+                sim.charge_walk_io(n_out[k])
+            loader.finish()
 
 
 class EnginePolicy:
     """The choices that tell one engine from another (paper §4, §7.3).
 
     The defaults are the plainest engine: walks pooled with their current
-    block, which is fully loaded; one bucket per slot, charged as it runs;
-    no per-step reads; exits pooled with their new current block. Engines
-    override the hooks they change; :func:`run_engine` calls them in a fixed
-    order.
+    block, which is fully loaded; one bucket per slot; no per-step reads;
+    exits pooled with their new current block. ``loader`` brings in each
+    bucket's ancillary block (by default fully); the replay of every slot's
+    :class:`SlotLog` drives it. Engines override the hooks they change;
+    :func:`run_engine` calls them in a fixed order.
     """
 
-    #: Record each bucket's vertices inside its ancillary block (for an
-    #: on-demand replay) in the :class:`SlotLog`.
-    log_vertices = False
-
-    def __init__(self, store: BlockStore, sim: DiskSim) -> None:
+    def __init__(
+        self, store: BlockStore, sim: DiskSim, loader: BlockLoader | None = None
+    ) -> None:
         self.store = store
         self.sim = sim
         self.bmap = store.block_map
+        self.loader = BlockLoader(store, sim) if loader is None else loader
 
     def pool_of(self, walks: Walks) -> np.ndarray:
         """Pool (block id) each walk is stored in: its current block."""
@@ -267,52 +279,21 @@ class EnginePolicy:
         empty when the scheduler picks a walk-less block."""
         self.sim.charge_block_load(b, self.store.block_bytes(b))
 
-    def bucket_of(self, b: int, walks: Walks) -> np.ndarray | None:
+    def bucket_of(self, b: int, walks: Walks) -> np.ndarray:
         """Bucket of each walk of slot ``b``: the ancillary block it runs
-        with (``b``: the current block alone). None: the slot is the one
-        bucket ``b``, and its charges are made as they happen."""
-        return None
+        with (``b``: the current block alone, the default for every walk)."""
+        return np.full(len(walks), b, dtype=np.int64)
 
-    def before_step(self, active: Walks, b: int, bucket: np.ndarray | int) -> None:
-        """Charge the reads that make this step's vertices resident;
-        ``bucket`` holds each active walk's bucket (the int ``b`` when the
-        slot is one bucket)."""
+    def before_step(self, active: Walks, b: int, bucket: np.ndarray) -> None:
+        """Charge the reads that make this step's vertices resident, as they
+        happen; ``bucket`` holds each active walk's bucket."""
 
     def extends(
         self, walks: Walks, curb: np.ndarray, b: int, bucket: np.ndarray
     ) -> np.ndarray | bool:
         """Mask of walks that, on leaving their bucket, move on to bucket
-        ``curb`` within this slot instead of a pool (False: none do). Asked
-        only in slots that :meth:`bucket_of` splits into buckets."""
+        ``curb`` within this slot instead of a pool (False: none do)."""
         return False
-
-    def close_slot(self, b: int, log: SlotLog | None) -> None:
-        """End slot ``b``; ``log`` holds its recorded charges (None for a
-        slot of one bucket)."""
-
-
-class BucketPolicy(EnginePolicy):
-    """Two resident blocks: the current block and, per bucket, an ancillary
-    block brought in by a :class:`BlockLoader`. Buckets are recorded in a
-    :class:`SlotLog` and charged at slot end, bucket by bucket."""
-
-    def __init__(self, store: BlockStore, sim: DiskSim, loader: BlockLoader) -> None:
-        super().__init__(store, sim)
-        self.loader = loader
-        self.log_vertices = loader.mode != FULL
-
-    def close_slot(self, b: int, log: SlotLog | None) -> None:
-        sim, loader = self.sim, self.loader
-        for i, n_in, activated, steps in log.buckets():
-            sim.bucket_execs += 1
-            if i != b:  # bucket b needs no ancillary block
-                loader.load(i, n_in, activated)
-            for n_out, touched in steps:
-                if loader.partial:  # loaded on demand: fetch what steps touch
-                    loader.ensure(touched)
-                sim.charge_walk_io(n_out)
-            if i != b:
-                loader.finish()
 
 
 def run_engine(
@@ -330,7 +311,8 @@ def run_engine(
     steps all of its walks in lock step. A walk leaves the batch when it
     finishes or its current vertex leaves block ``b`` and its bucket's
     block; a walk the policy extends is re-keyed to its new bucket instead,
-    its local step starting again at 0. Counters go to ``policy.sim``.
+    its local step starting again at 0. At slot end the :class:`SlotLog`
+    replays the bucket-order charges. Counters go to ``policy.sim``.
     """
     csr, bmap, sim = store.csr, store.block_map, policy.sim
     sched = make_scheduler(sched) if isinstance(sched, str) else sched
@@ -339,6 +321,7 @@ def run_engine(
     _, live = split_done(task, csr, starts)
     pools.add_grouped(policy.pool_of(live), live)
     width = task.max_len + 1  # local steps per bucket are < max_len
+    vertices = policy.loader.mode != FULL  # an on-demand replay needs them
 
     while pools.total():
         b = sched.pick(pools)
@@ -350,43 +333,32 @@ def run_engine(
         if not len(active):
             continue  # Alphabet may schedule (and pay for) an empty block
         bucket = policy.bucket_of(b, active)
-        if bucket is None:  # one bucket, charged as it runs
-            bucket, log = b, None
-            sim.bucket_execs += 1
-        else:
-            log = SlotLog(bmap, width, policy.log_vertices)
-            log.enter(bucket, active)
-            entered = np.zeros(len(active), dtype=np.int64)  # slot step of bucket entry
-        t = 0
+        log = SlotLog(bmap, width, vertices)
+        key = log.enter(bucket, active)  # each walk's next step, keyed for the log
         while len(active):
             policy.before_step(active, b, bucket)
-            if log is not None and log.vertices:
-                log.touch(active.cur, bucket, t - entered)
+            if vertices:
+                log.touch(active.cur, bucket, key)
             t0 = time.perf_counter()
             advance(csr, task, active, rec)
             sim.steps += len(active)
             sim.exec_real_s += time.perf_counter() - t0
             done, out, curb = split_step(task, csr, bmap, active, b, bucket)
             if out.any():
-                if log is None:  # one bucket: exits are charged as they happen
-                    leaving = active.select(out)
-                    pools.add_grouped(policy.pool_of(leaving), leaving)
-                else:
-                    ext = policy.extends(active, curb, b, bucket) & out
-                    if ext.any():
-                        # Re-key in place; fresh arrays, as the log keeps bucket ones.
-                        bucket = np.where(ext, curb, bucket)
-                        entered = np.where(ext, t + 1, entered)
-                        log.enter(bucket[ext], active.select(ext))
-                        out &= ~ext
-                    leaving = active.select(out)
-                    pools.put(policy.pool_of(leaving), leaving)
-                    log.exit(bucket[out], t - entered[out])
+                ext = policy.extends(active, curb, b, bucket) & out
+                if ext.any():
+                    # A fresh bucket array, as the log keeps the old one.
+                    bucket = np.where(ext, curb, bucket)
+                    # - 1: this step's += 1 makes it the new bucket's step 0.
+                    key[ext] = log.enter(bucket[ext], active.select(ext)) - 1
+                    out &= ~ext
+                leaving = active.select(out)
+                pools.put(policy.pool_of(leaving), leaving)
+                log.exit(key[out])
             keep = ~(done | out)
             if not keep.all():
                 active = active.select(keep)
-                if log is not None:
-                    bucket, entered = bucket[keep], entered[keep]
-            t += 1
-        policy.close_slot(b, log)
+                bucket, key = bucket[keep], key[keep]
+            key += 1
+        log.replay(b, sim, policy.loader)
     return EngineResult(name=name, sim=sim, recorder=rec)

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
-from repro.engines.base import BucketPolicy, EngineResult, make_recorder, run_engine
+from repro.engines.base import EngineResult, EnginePolicy, make_recorder, run_engine
 from repro.engines.loading import FULL, BlockLoader, LearnedLoadModel, LoadLogs
 from repro.engines.scheduling import IterationScheduler
 from repro.walks.buckets import collect_buckets
@@ -38,7 +38,7 @@ from repro.walks.models import WalkTask
 from repro.walks.state import Walks, skewed_block_of
 
 
-class BiBlockPolicy(BucketPolicy):
+class BiBlockPolicy(EnginePolicy):
     """Skewed storage, Eq. 4 buckets in triangular order, bucket extension,
     and ancillary blocks through a :class:`BlockLoader`."""
 

@@ -9,14 +9,18 @@ method:
 * **GraphWalker**: state-aware scheduling (Max-Sum/Min-Height mix), full load;
 * **GraSorw-No-LBL**: Iteration-based scheduling, full load;
 * **GraSorw**: Iteration-based scheduling + learning-based block loading.
+
+A slot is one bucket, the current block ``b`` alone, brought in by the
+policy's :class:`~repro.engines.loading.BlockLoader`. Its on-demand fetches
+of current vertices and its exit writes are recorded in the slot's
+:class:`~repro.engines.base.SlotLog` and replayed at slot end step by step,
+which also closes the block load (its ``LoadLogs`` entry).
 """
 from __future__ import annotations
 
-import numpy as np
-
 from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
-from repro.engines.base import EnginePolicy, EngineResult, SlotLog, make_recorder, run_engine
+from repro.engines.base import EnginePolicy, EngineResult, make_recorder, run_engine
 from repro.engines.loading import FULL, BlockLoader, LearnedLoadModel, LoadLogs
 from repro.engines.scheduling import Scheduler
 from repro.walks.models import WalkTask
@@ -24,24 +28,13 @@ from repro.walks.state import Walks
 
 
 class FirstOrderPolicy(EnginePolicy):
-    """One block slot, filled by a :class:`BlockLoader`."""
-
-    def __init__(self, store: BlockStore, sim: DiskSim, loader: BlockLoader) -> None:
-        super().__init__(store, sim)
-        self.loader = loader
+    """One block slot, filled by the policy's :class:`BlockLoader`."""
 
     def load_current(self, b: int, walks: Walks) -> None:
         if len(walks):
             self.loader.load(b, len(walks), walks.cur)
         else:
             super().load_current(b, walks)  # Alphabet pays for a walk-less block
-
-    def before_step(self, active: Walks, b: int, bucket: np.ndarray | int) -> None:
-        if self.loader.partial:
-            self.loader.ensure(active.cur)  # every active walk is in block b
-
-    def close_slot(self, b: int, log: SlotLog | None) -> None:
-        self.loader.finish()
 
 
 def run_first_order(

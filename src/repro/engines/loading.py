@@ -62,15 +62,11 @@ class LoadLogs:
         )
 
 
-def fit_line(x: np.ndarray, y: np.ndarray, *, intercept: bool) -> tuple[float, float]:
-    """Least-squares fit y = a·x (+ b). Returns (a, b)."""
-    if intercept:
-        A = np.stack([x, np.ones_like(x)], axis=1)
-        sol, *_ = np.linalg.lstsq(A, y, rcond=None)
-        return float(sol[0]), float(sol[1])
-    denom = float(np.dot(x, x))
-    a = float(np.dot(x, y) / denom) if denom > 0 else 0.0
-    return a, 0.0
+def fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares fit y = a·x + b. Returns (a, b)."""
+    A = np.stack([x, np.ones_like(x)], axis=1)
+    sol, *_ = np.linalg.lstsq(A, y, rcond=None)
+    return float(sol[0]), float(sol[1])
 
 
 @dataclass
@@ -92,8 +88,8 @@ class LearnedLoadModel:
         def fit_for(sel_f: np.ndarray, sel_o: np.ndarray):
             if sel_f.sum() < 1 or sel_o.sum() < 1:
                 return None
-            a_f, b_f = fit_line(eta[sel_f], t[sel_f], intercept=True)
-            a_o, b_o = fit_line(eta[sel_o], t[sel_o], intercept=True)
+            a_f, b_f = fit_line(eta[sel_f], t[sel_f])
+            a_o, b_o = fit_line(eta[sel_o], t[sel_o])
             return a_f, b_f, a_o, max(0.0, b_o)
 
         g = fit_for(full_m, od_m)  # global fallback

@@ -17,18 +17,14 @@ import numpy as np
 
 from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
-from repro.engines.base import BucketPolicy, EngineResult, make_recorder, run_engine
-from repro.engines.loading import BlockLoader
+from repro.engines.base import EngineResult, EnginePolicy, make_recorder, run_engine
 from repro.engines.scheduling import Scheduler
 from repro.walks.models import WalkTask
 from repro.walks.state import Walks
 
 
-class PBPolicy(BucketPolicy):
+class PBPolicy(EnginePolicy):
     """Buckets by previous block, ancillaries fully loaded in ascending id."""
-
-    def __init__(self, store: BlockStore, sim: DiskSim) -> None:
-        super().__init__(store, sim, BlockLoader(store, sim))
 
     def bucket_of(self, b: int, walks: Walks) -> np.ndarray:
         prev_b = self.bmap[walks.prev]

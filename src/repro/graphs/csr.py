@@ -1,4 +1,4 @@
-"""CSR graph representation (paper Fig. 6) and per-block serialization.
+"""CSR graph representation (paper Fig. 6); blocks are written by :mod:`repro.disk.store`.
 
 The paper stores the graph as an *Index File* plus a *CSR File*, sequentially
 partitioned into blocks (contiguous vertex-id ranges). Because blocks are
@@ -13,7 +13,6 @@ in-memory block contains u.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from pyspark.sql import DataFrame
@@ -55,14 +54,6 @@ class CSR:
         pos = np.searchsorted(self.keys, k)
         pos = np.minimum(pos, len(self.keys) - 1)
         return (self.keys[pos] == k) if len(self.keys) else np.zeros(len(k), dtype=bool)
-
-    def save(self, path: str | Path) -> None:
-        np.savez(path, n=self.n, indptr=self.indptr, indices=self.indices)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "CSR":
-        with np.load(path) as z:
-            return cls(n=int(z["n"]), indptr=z["indptr"], indices=z["indices"])
 
 
 def build_csr(edges: DataFrame, n: int) -> CSR:

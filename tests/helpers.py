@@ -73,8 +73,9 @@ def residency_checked():
     Yields a list that collects the number of walks each checked step
     covered, so a caller can see that every step was checked.
     """
-    from repro.engines.base import BucketPolicy, EnginePolicy
-    from repro.engines.first_order import FirstOrderPolicy
+    from repro.engines.base import EnginePolicy
+    from repro.engines.bi_block import BiBlockPolicy
+    from repro.engines.plain_bucket import PBPolicy
     from repro.engines.sogw import SOGWPolicy
 
     seen: list[int] = []
@@ -83,7 +84,7 @@ def residency_checked():
         def checked(self, active, b, bucket):
             curb = self.bmap[active.cur]
             assert ((curb == b) | (curb == bucket)).all(), "current vertex not resident"
-            if isinstance(self, BucketPolicy):
+            if isinstance(self, (BiBlockPolicy, PBPolicy)):
                 prevb = self.bmap[active.prev]
                 assert ((prevb < 0) | (prevb == b) | (prevb == bucket)).all(), (
                     "previous vertex not resident"
@@ -93,7 +94,8 @@ def residency_checked():
 
         return checked
 
-    classes = (EnginePolicy, SOGWPolicy, FirstOrderPolicy)
+    # Every other policy, first-order included, inherits EnginePolicy's.
+    classes = (EnginePolicy, SOGWPolicy)
     saved = {cls: cls.__dict__["before_step"] for cls in classes}
     try:
         for cls, fn in saved.items():

@@ -1,8 +1,8 @@
-"""Tests for CSR construction and (de)serialization (repro.graphs.csr)."""
+"""Tests for CSR construction (repro.graphs.csr)."""
 import numpy as np
 import pytest
 
-from repro.graphs.csr import CSR, build_csr, csr_from_arrays
+from repro.graphs.csr import build_csr, csr_from_arrays
 from repro.graphs.generators import er_pairs_graph, to_directed
 from repro.oracle import assert_equivalent
 
@@ -54,17 +54,6 @@ class TestKeysMembership:
         csr = random_csr(40, 100, seed=5)
         u = np.repeat(np.arange(40), csr.deg)
         assert csr.has_arc(csr.indices, u).all()  # undirected
-
-
-class TestRoundTrip:
-    def test_save_load(self, tmp_path):
-        csr = random_csr(60, 200, seed=6)
-        p = tmp_path / "g.npz"
-        csr.save(p)
-        loaded = CSR.load(p)
-        assert loaded.n == csr.n
-        assert np.array_equal(loaded.indptr, csr.indptr)
-        assert np.array_equal(loaded.indices, csr.indices)
 
 
 class TestBuildFromSpark:

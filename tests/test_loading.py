@@ -28,17 +28,12 @@ class TestFitLine:
     def test_with_intercept(self):
         x = np.linspace(0, 1, 20)
         y = 3.0 * x + 0.5
-        a, b = fit_line(x, y, intercept=True)
+        a, b = fit_line(x, y)
         assert a == pytest.approx(3.0) and b == pytest.approx(0.5)
 
-    def test_without_intercept(self):
-        x = np.linspace(0.1, 1, 10)
-        a, b = fit_line(x, 7.0 * x, intercept=False)
-        assert a == pytest.approx(7.0) and b == 0.0
-
     def test_degenerate(self):
-        a, b = fit_line(np.zeros(3), np.zeros(3), intercept=False)
-        assert a == 0.0
+        a, b = fit_line(np.zeros(3), np.zeros(3))
+        assert a == 0.0 and b == 0.0
 
 
 class TestLearnedModel:
