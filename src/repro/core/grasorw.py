@@ -55,18 +55,24 @@ class GraphSystem:
         params: IOParams | None = None,
         physical_dir: str | Path | None = None,
     ) -> "GraphSystem":
-        """Build the disk image: partition (Spark), CSR (Spark sort), blocks."""
+        """Build the disk image: partition, CSR (Spark sort), blocks.
+
+        ``seq`` sorts the CSR first and splits its degrees on the driver.
+        ``metis`` materializes the edges once, so the degree job, the LPA
+        rounds and the relabeled CSR sort all read them instead of
+        re-running the generator plan."""
         perm = None
         if partition == "metis":
             if n_blocks is None:
                 raise ValueError("metis partition requires n_blocks")
+            edges = edges.localCheckpoint()
             perm, part = metis_lite_partition(edges, n, n_blocks)
-            edges = relabel_edges(edges, perm)
+            csr = build_csr(relabel_edges(edges, perm), n)
         elif partition == "seq":
-            part = sequential_partition(edges, n, n_blocks=n_blocks, block_bytes=block_bytes)
+            csr = build_csr(edges, n)
+            part = sequential_partition(csr.deg, n_blocks=n_blocks, block_bytes=block_bytes)
         else:
             raise ValueError(f"unknown partition {partition!r}")
-        csr = build_csr(edges, n)
         store = BlockStore(csr, part, params=params, physical_dir=physical_dir)
         return cls(store=store, cache=cache, perm=perm)
 

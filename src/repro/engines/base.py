@@ -184,7 +184,8 @@ class SlotLog:
     before one of an earlier bucket has finished. What a bucket-at-a-time
     engine would charge in bucket order is therefore recorded as the batch
     runs: the walks entering each bucket (and, with ``vertices``, their
-    vertices inside its ancillary block), the pool-bound exits of each
+    vertices inside its ancillary block when that is not the current block
+    ``b``, whose buckets load nothing), the pool-bound exits of each
     (bucket, local step), and, with ``vertices``, the current vertices each
     (bucket, local step) has in its ancillary block. :meth:`replay` makes
     them in bucket order, then local-step order, so every float counter is
@@ -193,7 +194,8 @@ class SlotLog:
     its step key ``bucket·width + local step`` orders the charges.
     """
 
-    def __init__(self, block_map: np.ndarray, width: int, vertices: bool) -> None:
+    def __init__(self, b: int, block_map: np.ndarray, width: int, vertices: bool) -> None:
+        self.b = b
         self.bmap = block_map
         self.width = width
         self.vertices = vertices
@@ -208,8 +210,9 @@ class SlotLog:
         into it afterwards."""
         self._entered.append(bucket)
         if self.vertices:
+            ancillary = bucket != self.b
             for v in (walks.prev, walks.cur):
-                inside = self.bmap[v] == bucket
+                inside = ancillary & (self.bmap[v] == bucket)
                 self._activated.append((bucket[inside], v[inside]))
         return bucket * self.width
 
@@ -222,12 +225,12 @@ class SlotLog:
         """Walks that left their bucket for a pool on the steps keyed ``key``."""
         self._exits.append(key)
 
-    def replay(self, b: int, sim: DiskSim, loader: BlockLoader) -> None:
+    def replay(self, sim: DiskSim, loader: BlockLoader) -> None:
         """Charge slot ``b``'s buckets in ascending id: each bucket's
         execution, its ancillary load (none for bucket ``b``), then per local
         step with exits or ancillary vertices, ascending, the on-demand
         fetches and the pool write, and last the close of the load."""
-        w = self.width
+        b, w = self.b, self.width
         n_in = np.bincount(np.concatenate(self._entered))
         ids = np.flatnonzero(n_in)
         lo = int(ids[0]) * w  # every step key lies in [lo, (ids[-1] + 1)·w)
@@ -333,7 +336,7 @@ def run_engine(
         if not len(active):
             continue  # Alphabet may schedule (and pay for) an empty block
         bucket = policy.bucket_of(b, active)
-        log = SlotLog(bmap, width, vertices)
+        log = SlotLog(b, bmap, width, vertices)
         key = log.enter(bucket, active)  # each walk's next step, keyed for the log
         while len(active):
             policy.before_step(active, b, bucket)
@@ -360,5 +363,5 @@ def run_engine(
                 active = active.select(keep)
                 bucket, key = bucket[keep], key[keep]
             key += 1
-        log.replay(b, sim, policy.loader)
+        log.replay(sim, policy.loader)
     return EngineResult(name=name, sim=sim, recorder=rec)

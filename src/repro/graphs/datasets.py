@@ -23,7 +23,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.grasorw import GraphSystem
 from repro.graphs import generators as G
-from repro.graphs.partition import edge_cut, sequential_partition
+from repro.graphs.partition import degree_array, edge_cut, sequential_partition
 
 
 @dataclass(frozen=True)
@@ -246,12 +246,14 @@ ALL: dict[str, DatasetSpec] = {**TABLE2, **TABLE5, **TABLE4_EXTRA}
 def dataset_stats(spark: SparkSession, specs: dict[str, DatasetSpec]) -> pd.DataFrame:
     """Table 2 / Table 5 statistics for a family of datasets: vertex and
     (directed) edge counts, CSR bytes, block size/count, sequential-partition
-    edge-cut — all computed with Spark aggregations."""
+    edge-cut — all computed with Spark aggregations over edges generated
+    once per dataset."""
     rows = []
     for spec in specs.values():
-        edges = spec.edges(spark)
-        m = edges.count()
-        part = sequential_partition(edges, spec.n, n_blocks=spec.n_blocks)
+        edges = spec.edges(spark).localCheckpoint()
+        deg = degree_array(edges, spec.n)
+        m = int(deg.sum()) // 2
+        part = sequential_partition(deg, n_blocks=spec.n_blocks)
         cut = edge_cut(edges, part)
         csr_bytes = 4 * (spec.n + 1) + 4 * 2 * m
         rows.append(

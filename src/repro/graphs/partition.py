@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession, Window
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.graphs.generators import degrees, to_directed
@@ -66,8 +66,7 @@ def degree_array(edges: DataFrame, n: int) -> np.ndarray:
 
 
 def sequential_partition(
-    edges: DataFrame,
-    n: int,
+    deg: np.ndarray,
     *,
     n_blocks: int | None = None,
     block_bytes: int | None = None,
@@ -75,16 +74,19 @@ def sequential_partition(
 ) -> Partition:
     """Pack vertices in id order into blocks (paper's default partition).
 
-    Exactly one of ``n_blocks`` (equal-byte quantile split into exactly that
-    many blocks) or ``block_bytes`` (greedy fill to the size cap, block
-    count emerges) must be given. A quantile split puts several cuts on the
-    same vertex when one vertex holds more than a block's share of the bytes
-    (a hub); it then cannot give ``n_blocks`` non-empty blocks and raises
-    ``ValueError`` rather than return fewer.
+    ``deg`` is the per-vertex degree array (``np.diff(csr.indptr)`` of a
+    built CSR, or :func:`degree_array` of an edge DataFrame); the split is
+    plain numpy, so it starts no Spark job. Exactly one of ``n_blocks``
+    (equal-byte quantile split into exactly that many blocks) or
+    ``block_bytes`` (greedy fill to the size cap, block count emerges) must
+    be given. A quantile split puts several cuts on the same vertex when one
+    vertex holds more than a block's share of the bytes (a hub); it then
+    cannot give ``n_blocks`` non-empty blocks and raises ``ValueError``
+    rather than return fewer.
     """
     if (n_blocks is None) == (block_bytes is None):
         raise ValueError("give exactly one of n_blocks / block_bytes")
-    deg = degree_array(edges, n)
+    n = len(deg)
     vb = vertex_bytes(deg, value_bytes)
     cum = np.cumsum(vb)
     total = int(cum[-1])
@@ -115,8 +117,7 @@ def block_map_df(spark: SparkSession, part: Partition) -> DataFrame:
 
 def edge_cut(edges: DataFrame, part: Partition) -> float:
     """Fraction of undirected edges whose endpoints land in different blocks."""
-    spark = edges.sparkSession
-    bm = block_map_df(spark, part)
+    bm = F.broadcast(block_map_df(edges.sparkSession, part))
     row = (
         edges.join(bm.withColumnRenamed("v", "src").withColumnRenamed("block", "bs"), "src")
         .join(bm.withColumnRenamed("v", "dst").withColumnRenamed("block", "bd"), "dst")
@@ -129,31 +130,30 @@ def edge_cut(edges: DataFrame, part: Partition) -> float:
 def lpa_labels(edges: DataFrame, n: int, iters: int = 8) -> DataFrame:
     """Label propagation community detection (Spark DataFrame iterations).
 
-    Each vertex repeatedly adopts the most frequent label among its
-    neighbors (ties broken by smallest label). Returns (v, label).
+    Labels start as the vertex ids. Each round, every vertex adopts the most
+    frequent label among its neighbours' labels of the previous round, ties
+    going to the smallest label; a vertex with no neighbours keeps its own.
+    A round is one broadcast join that sends each arc's source label to its
+    destination and one ``groupBy(v)`` whose ``mode(label, deterministic)``
+    picks the winner (deterministic: the lowest label on a tie). A vertex
+    hears a message iff it has an arc, so the rounds carry the labels of
+    the non-isolated vertices only; one broadcast left join at the end
+    gives the isolated ones their own id back. Returns (v, label).
     """
     spark = edges.sparkSession
     allv = spark.range(n).select(F.col("id").alias("v"))
     labels = allv.select("v", F.col("v").alias("label"))
     directed = to_directed(edges).localCheckpoint()
     for _ in range(iters):
-        msgs = directed.join(
-            labels.withColumnRenamed("v", "src"), "src"
-        ).select(F.col("dst").alias("v"), "label")
-        cnt = msgs.groupBy("v", "label").agg(F.count("*").alias("c"))
-        w = Window.partitionBy("v").orderBy(F.desc("c"), F.asc("label"))
-        best = (
-            cnt.withColumn("rn", F.row_number().over(w))
-            .where(F.col("rn") == 1)
-            .select("v", F.col("label").alias("new_label"))
-        )
         labels = (
-            allv.join(labels, "v")
-            .join(best, "v", "left")
-            .select("v", F.coalesce("new_label", "label").alias("label"))
+            directed.join(F.broadcast(labels.withColumnRenamed("v", "src")), "src")
+            .groupBy(F.col("dst").alias("v"))
+            .agg(F.mode("label", True).alias("label"))
             .localCheckpoint()
         )
-    return labels
+    return allv.join(F.broadcast(labels), "v", "left").select(
+        "v", F.coalesce("label", "v").alias("label")
+    )
 
 
 def metis_lite_partition(
@@ -222,11 +222,13 @@ def metis_lite_partition(
 
 
 def relabel_edges(edges: DataFrame, perm: np.ndarray) -> DataFrame:
-    """Apply a vertex relabeling to a canonical edge list (stays canonical)."""
+    """Apply a vertex relabeling to a canonical edge list (stays canonical).
+
+    The n-row relabeling table is broadcast to both joins."""
     spark = edges.sparkSession
-    pm = spark.createDataFrame(
+    pm = F.broadcast(spark.createDataFrame(
         pd.DataFrame({"old": np.arange(len(perm), dtype=np.int64), "new": perm})
-    )
+    ))
     out = (
         edges.join(pm.withColumnRenamed("old", "src").withColumnRenamed("new", "ns"), "src")
         .join(pm.withColumnRenamed("old", "dst").withColumnRenamed("new", "nd"), "dst")

@@ -36,16 +36,16 @@ class TestPartitionGeometry:
 
 class TestSequentialPartition:
     def test_exact_block_count(self, spark):
-        e = G.er_pairs_graph(spark, n=200, m=800, seed=1)
+        deg = degree_array(G.er_pairs_graph(spark, n=200, m=800, seed=1), 200)
         for nb in (3, 7, 12):
-            p = sequential_partition(e, 200, n_blocks=nb)
+            p = sequential_partition(deg, n_blocks=nb)
             assert p.n_blocks == nb
             assert p.block_starts[0] == 0 and p.block_starts[-1] == 200
 
     def test_blocks_byte_balanced(self, spark):
         e = G.er_pairs_graph(spark, n=300, m=1500, seed=2)
-        p = sequential_partition(e, 300, n_blocks=6)
         deg = degree_array(e, 300)
+        p = sequential_partition(deg, n_blocks=6)
         vb = vertex_bytes(deg)
         sizes = [vb[a:b].sum() for a, b in zip(p.block_starts[:-1], p.block_starts[1:])]
         assert max(sizes) < 2.0 * min(sizes)
@@ -55,17 +55,17 @@ class TestSequentialPartition:
         deg = degree_array(e, 200)
         vb = vertex_bytes(deg)
         cap = int(vb.sum() // 5)
-        p = sequential_partition(e, 200, block_bytes=cap)
+        p = sequential_partition(deg, block_bytes=cap)
         for a, b in zip(p.block_starts[:-1], p.block_starts[1:]):
             # greedy fill: the block minus its last vertex stays under cap
             assert vb[a : b - 1].sum() <= cap
 
     def test_requires_exactly_one_size_arg(self, spark):
-        e = G.er_pairs_graph(spark, n=50, m=100, seed=4)
+        deg = degree_array(G.er_pairs_graph(spark, n=50, m=100, seed=4), 50)
         with pytest.raises(ValueError):
-            sequential_partition(e, 50)
+            sequential_partition(deg)
         with pytest.raises(ValueError):
-            sequential_partition(e, 50, n_blocks=2, block_bytes=100)
+            sequential_partition(deg, n_blocks=2, block_bytes=100)
 
     def test_degree_array_matches_spark(self, spark):
         e = G.er_pairs_graph(spark, n=100, m=250, seed=5)
@@ -80,7 +80,7 @@ class TestEdgeCut:
 
     def test_oracle(self, spark):
         e = G.er_pairs_graph(spark, n=80, m=200, seed=7)
-        p = sequential_partition(e, 80, n_blocks=4)
+        p = sequential_partition(degree_array(e, 80), n_blocks=4)
         bm = block_map_df(spark, p)
         got = spark.createDataFrame([(float(edge_cut(e, p)),)], "cut double")
         assert_equivalent(
@@ -126,7 +126,7 @@ class TestMetisLite:
         rng = np.random.default_rng(0)
         scramble = rng.permutation(96).astype(np.int64)
         e = relabel_edges(e, scramble).localCheckpoint()
-        seq = sequential_partition(e, 96, n_blocks=6)
+        seq = sequential_partition(degree_array(e, 96), n_blocks=6)
         cut_seq = edge_cut(e, seq)
         perm, part = metis_lite_partition(e, 96, 6)
         cut_metis = edge_cut(relabel_edges(e, perm), part)

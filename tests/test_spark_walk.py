@@ -30,7 +30,7 @@ def graph(spark):
     n = 60
     edges = er_pairs_graph(spark, n=n, m=200, seed=42).localCheckpoint()
     csr = build_csr(edges, n)
-    part = sequential_partition(edges, n, n_blocks=5)
+    part = sequential_partition(csr.deg, n_blocks=5)
     return edges, csr, part
 
 
@@ -175,7 +175,7 @@ class TestTermination:
         n = 80
         edges = locality_graph(spark, n=n, deg=4, window=10, seed=45).localCheckpoint()
         csr = build_csr(edges, n)
-        part = sequential_partition(edges, n, n_blocks=4)
+        part = sequential_partition(csr.deg, n_blocks=4)
         task = WalkTask(max_len=4, p=0.25, q=4.0, seed=47)
         wid, src = _sources(csr, 10)
         ref = reference_walk(csr, task, Walks.from_sources(wid, src))
