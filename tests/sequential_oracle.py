@@ -12,11 +12,11 @@ slot as one batch and replay the bucket-order charges afterwards;
 load logs and paths.
 
 Only the stable pieces of the program are reused: the pools, the block
-slots, the block loader, the schedulers, the sampler, the static cache, the
-Eq. 4 grouping and the extension buffers. The routing rules (Eq. 4 bucket
-keys, the residency split and Algorithm 2's exit cases) and the charge rules
-are copied here, so the oracle does not move when the program's versions of
-them do.
+slots, the schedulers, the sampler, the static cache, the Eq. 4 grouping and
+the extension buffers. The routing rules (Eq. 4 bucket keys, the residency
+split and Algorithm 2's exit cases), the charge rules and the block loader
+with its learned mode choice are copied here, so the oracle does not move
+when the program's versions of them do.
 """
 from __future__ import annotations
 
@@ -27,12 +27,73 @@ import numpy as np
 from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
 from repro.engines.base import BlockSlots, EngineResult, WalkPools, make_recorder
-from repro.engines.loading import FULL, ONDEMAND, BlockLoader, LearnedLoadModel, LoadLogs
+from repro.engines.loading import FULL, LEARNED, ONDEMAND, LearnedLoadModel, LoadLogs
 from repro.engines.scheduling import IterationScheduler, Scheduler, make_scheduler
 from repro.engines.sgsc import build_static_cache
 from repro.walks.buckets import ExtensionBuffers
 from repro.walks.models import Recorder, WalkTask, advance, done_mask
 from repro.walks.state import Walks, skewed_block_of, split_by_key
+
+
+def choose(model: LearnedLoadModel, bid: int, eta: float) -> str:
+    """The learned mode choice, one block at a time: the cheaper predicted
+    mode, full load on a tie and for blocks without on-demand data."""
+    a_f, b_f, a_o, b_o = model.coef[bid]
+    if not np.isfinite(a_o):
+        return FULL
+    return FULL if a_f * eta + b_f <= a_o * eta + b_o else ONDEMAND
+
+
+class BlockLoader:
+    """Loads one block at a time, fully or on demand. On demand, it tracks
+    which vertices of the block are resident, so each ``ensure`` fetches
+    (and charges) only the newly activated ones."""
+
+    def __init__(self, store: BlockStore, sim: DiskSim, *, mode: str = FULL,
+                 model: LearnedLoadModel | None = None, logs: LoadLogs | None = None) -> None:
+        self.store, self.sim, self.mode, self.model, self.logs = store, sim, mode, model, logs
+        self._bid: int | None = None
+        self._loaded: np.ndarray | None = None  # None = fully loaded
+        self._lo = 0
+        self._t_start = 0.0
+        self._eta = 0.0
+        self._chosen = FULL
+
+    def load(self, bid: int, walks_count: int, activated: np.ndarray) -> str:
+        lo, hi = self.store.part.block_slice(bid)
+        eta = walks_count / max(1, hi - lo)
+        chosen = choose(self.model, bid, eta) if self.mode == LEARNED else self.mode
+        self._bid, self._lo, self._eta, self._chosen = bid, lo, eta, chosen
+        self._t_start = self.sim.block_io_s + self.sim.ondemand_io_s
+        if chosen == FULL:
+            self.sim.charge_block_load(bid, self.store.block_bytes(bid))
+            self._loaded = None
+        else:
+            self._loaded = np.zeros(hi - lo, dtype=bool)
+            self.ensure(activated)
+        return chosen
+
+    @property
+    def partial(self) -> bool:
+        return self._loaded is not None
+
+    def ensure(self, vs: np.ndarray) -> None:
+        if self._loaded is None or len(vs) == 0:
+            return
+        local = np.unique(np.asarray(vs, dtype=np.int64)) - self._lo
+        need = local[~self._loaded[local]]
+        if len(need):
+            self.sim.charge_vertex_fetch(
+                self.store.vertex_seg_bytes(need + self._lo), kind="ondemand")
+            self._loaded[need] = True
+
+    def finish(self) -> None:
+        """Close the bucket execution: record the (η, t) observation."""
+        if self.logs is not None and self._bid is not None:
+            t = (self.sim.block_io_s + self.sim.ondemand_io_s) - self._t_start
+            self.logs.add(self._bid, self._eta, t, self._chosen)
+        self._bid = None
+        self._loaded = None
 
 
 def split_step(task: WalkTask, csr, block_map, walks: Walks, b: int, i: int):

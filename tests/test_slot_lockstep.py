@@ -25,13 +25,15 @@ from repro.core.grasorw import GraphSystem
 from repro.core.tasks import PRNVConfig
 from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
-from repro.engines.loading import LoadLogs
+from repro.engines.base import SlotLog
+from repro.engines.loading import LEARNED, ONDEMAND, BlockLoader, LearnedLoadModel, LoadLogs
 from repro.graphs.csr import CSR, csr_from_arrays
 from repro.graphs.partition import Partition
 from repro.walks.models import WalkTask
+from repro.walks.state import Walks
 
 from . import sequential_oracle as oracle
-from .helpers import all_vertex_starts, even_partition, residency_checked
+from .helpers import all_vertex_starts, even_partition, random_csr, residency_checked
 
 SCHEDULER_NAMES = ("alphabet", "iteration", "min_height", "max_sum", "graphwalker")
 PARTITIONS = ("one_block", "singleton", "even", "hub")
@@ -228,3 +230,89 @@ def test_first_order_engines_match_bucket_at_a_time_oracle(case):
         _assert_same(got, want, label)
         assert got_charges == want_charges, label
         assert _logs(logs) == _logs(want_logs), label
+
+
+def _fetch_store() -> BlockStore:
+    """40 vertices in 4 blocks of 10: block i holds vertices 10·i .. 10·i + 9."""
+    return BlockStore(random_csr(40, 160, seed=5), even_partition(40, 4))
+
+
+def _slot_fetches(loader: BlockLoader, b: int, buckets: dict) -> list[tuple]:
+    """Replay one slot of current block ``b`` and return its on-demand charges.
+    ``buckets`` maps each bucket to the (prev, cur) of the one walk entering
+    it and the vertices that walk's bucket touches at local steps 0, 1, ..."""
+    log = SlotLog(b, loader.store.block_map, 8, vertices=True)
+    for i, ((prev, cur), steps) in buckets.items():
+        key = log.enter(np.array([i]), Walks(wid=[0], src=[cur], prev=[prev], cur=[cur], hop=[1]))
+        for s, vs in enumerate(steps):
+            vs = np.asarray(vs, dtype=np.int64)
+            log.touch(vs, np.full(len(vs), i), np.full(len(vs), key[0] + s))
+    with _charges() as calls:
+        log.replay(loader.sim, loader)
+    return _by_clock(calls)["ondemand"]
+
+
+def _fetch(store: BlockStore, *vs: int) -> tuple:
+    return ("ondemand", len(vs), int(store.vertex_seg_bytes(np.array(vs)).sum()))
+
+
+class TestSlotFetchPlan:
+    """The slot form of ``TestBlockLoader::test_ensure_deduplicates``: an
+    on-demand bucket fetches each vertex of its block once, at its bucket's
+    activation or at the first local step that touches it."""
+
+    def test_touched_vertex_charged_once_at_its_first_step(self):
+        store = _fetch_store()
+        loader = BlockLoader(store, DiskSim(params=store.params), mode=ONDEMAND)
+        got = _slot_fetches(loader, 0, {2: ((1, 20), [[21], [21, 22], [23, 21, 24, 21]])})
+        assert got == [_fetch(store, 20), _fetch(store, 21), _fetch(store, 22),
+                       _fetch(store, 23, 24)]
+
+    def test_activated_vertex_never_charged_at_a_step(self):
+        store = _fetch_store()
+        loader = BlockLoader(store, DiskSim(params=store.params), mode=ONDEMAND)
+        got = _slot_fetches(loader, 0, {2: ((25, 20), [[20], [25, 20], [20, 25]])})
+        assert got == [_fetch(store, 20, 25)]
+
+    def test_vertex_charged_once_per_bucket(self):
+        """Each bucket execution loads its block afresh: two buckets of one
+        slot fetch their own vertices in bucket order, and the next slot's
+        bucket of the same block fetches a vertex again."""
+        store = _fetch_store()
+        loader = BlockLoader(store, DiskSim(params=store.params), mode=ONDEMAND)
+        got = _slot_fetches(loader, 0, {
+            3: ((1, 30), [[31], [31, 32]]),
+            2: ((2, 20), [[21], [21]]),
+        })
+        assert got == [_fetch(store, 20), _fetch(store, 21),
+                       _fetch(store, 30), _fetch(store, 31), _fetch(store, 32)]
+        got = _slot_fetches(loader, 1, {2: ((11, 20), [[21]])})
+        assert got == [_fetch(store, 20), _fetch(store, 21)]
+
+    def test_full_load_bucket_charges_no_fetch(self):
+        """Learned mode: bucket 2's block is fully loaded (no on-demand data:
+        α_o = inf), bucket 3's on demand; the slot's own bucket 0 loads
+        nothing."""
+        store = _fetch_store()
+        coef = np.array([[0.0, 0.0, np.inf, np.inf]] * 3 + [[0.0, 1.0, 0.0, 0.0]])
+        sim = DiskSim(params=store.params)
+        loader = BlockLoader(store, sim, mode=LEARNED, model=LearnedLoadModel(coef))
+        with _charges() as calls:
+            got = _slot_fetches(loader, 0, {
+                0: ((-1, 1), [[1], [2]]),
+                2: ((1, 20), [[21], [22]]),
+                3: ((1, 30), [[31], [32]]),
+            })
+        assert got == [_fetch(store, 30), _fetch(store, 31), _fetch(store, 32)]
+        assert _by_clock(calls)["block"] == [("block", 2, store.block_bytes(2))]
+
+    def test_live_load_seeds_the_slot(self):
+        """First-order: the current block is loaded on demand as the slot
+        starts; the slot's steps fetch only what that load did not."""
+        store = _fetch_store()
+        loader = BlockLoader(store, DiskSim(params=store.params), mode=ONDEMAND)
+        with _charges() as calls:
+            loader.load(1, 2, np.array([10, 12]))
+            got = _slot_fetches(loader, 1, {1: ((-1, 10), [[10, 12], [12, 13], [10, 14]])})
+        assert got == [_fetch(store, 13), _fetch(store, 14)]
+        assert _by_clock(calls)["ondemand"] == [_fetch(store, 10, 12), *got]
