@@ -43,6 +43,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def _cost(n, lat, nbytes, bw):
+    """Seconds of ``n`` reads of latency ``lat`` moving ``nbytes`` bytes at
+    ``bw`` bytes/s: the one cost formula of every charge, on scalars or
+    arrays alike."""
+    return n * lat + nbytes / bw
+
+
+def _fold(clock: float, t: np.ndarray) -> np.ndarray:
+    """``clock``, then its value after adding each of ``t`` in turn: the
+    same sums, bit for bit, as ``clock += t[j]`` one charge at a time."""
+    return np.add.accumulate(np.concatenate(([clock], t)))
+
+
 @dataclass(frozen=True)
 class IOParams:
     """Cost constants of the simulated storage + execution stack."""
@@ -91,17 +104,53 @@ class DiskSim:
     _last_block: int = -(10**9)
 
     # -- charging -----------------------------------------------------------
-    def charge_block_load(self, bid: int, nbytes: int) -> None:
-        """One block read; sequential iff it directly follows the last one."""
+    # Each charge has a scalar form, made as the event happens, and an array
+    # form that makes a run of charges of one clock at once (a slot replay).
+    # Both take their seconds from :func:`_cost` and the same latency and
+    # bandwidth, and the array form folds its charges into the clock one by
+    # one in order, so it leaves every field ``==`` to the scalar charges.
+    def _block_lat_bw(self, seq):
+        """(latency, bandwidth) of block reads; ``seq`` marks those that
+        directly follow the last one (a bool, or a bool array)."""
         p = self.params
         if self.cache == "all":
-            t = p.hit_lat_s + nbytes / p.mem_bw_bps
-        else:
-            seek = p.seq_seek_s if bid == self._last_block + 1 else p.rand_block_seek_s
-            t = seek + nbytes / p.seq_bw_bps
+            return p.hit_lat_s, p.mem_bw_bps
+        if isinstance(seq, np.ndarray):
+            return np.where(seq, p.seq_seek_s, p.rand_block_seek_s), p.seq_bw_bps
+        return (p.seq_seek_s if seq else p.rand_block_seek_s), p.seq_bw_bps
+
+    def _light_lat_bw(self) -> tuple[float, float]:
+        """(latency, bandwidth) of light random (vertex) reads."""
+        p = self.params
+        if self.cache == "all":
+            return p.hit_lat_s, p.mem_bw_bps
+        return p.rand_lat_s, p.rand_bw_bps
+
+    def _walk_lat_bw(self) -> tuple[float, float]:
+        """(latency, bandwidth) of sequential walk pool reads and writes."""
+        p = self.params
+        if self.cache == "all":
+            return p.hit_lat_s, p.mem_bw_bps
+        return p.seq_seek_s, p.seq_bw_bps
+
+    def charge_block_load(self, bid: int, nbytes: int) -> None:
+        """One block read; sequential iff it directly follows the last one."""
+        lat, bw = self._block_lat_bw(bid == self._last_block + 1)
         self.block_io_num += 1
-        self.block_io_s += t
+        self.block_io_s += _cost(1, lat, nbytes, bw)
         self._last_block = bid
+
+    def charge_block_loads(self, bids: np.ndarray, nbytes: np.ndarray) -> np.ndarray:
+        """:meth:`charge_block_load` of each ``(bids[j], nbytes[j])`` in turn.
+        Returns the block clock before the first load and after each."""
+        follows = np.concatenate(([self._last_block], bids[:-1])) + 1
+        lat, bw = self._block_lat_bw(bids == follows)
+        clock = _fold(self.block_io_s, _cost(1, lat, nbytes, bw))
+        self.block_io_num += len(bids)
+        self.block_io_s = float(clock[-1])
+        if len(bids):
+            self._last_block = int(bids[-1])
+        return clock
 
     def charge_vertex_fetch(self, seg_bytes: np.ndarray, kind: str = "vertex") -> None:
         """``len(seg_bytes)`` light random reads of per-vertex CSR segments.
@@ -113,11 +162,8 @@ class DiskSim:
         n = len(seg_bytes)
         if n == 0:
             return
-        p = self.params
-        if self.cache == "all":
-            t = n * p.hit_lat_s + float(np.sum(seg_bytes)) / p.mem_bw_bps
-        else:
-            t = n * p.rand_lat_s + float(np.sum(seg_bytes)) / p.rand_bw_bps
+        lat, bw = self._light_lat_bw()
+        t = _cost(n, lat, float(np.sum(seg_bytes)), bw)
         if kind == "vertex":
             self.vertex_io_num += n
             self.vertex_io_s += t
@@ -127,16 +173,43 @@ class DiskSim:
         else:
             raise ValueError(kind)
 
+    def charge_vertex_fetches(
+        self, n: np.ndarray, nbytes: np.ndarray, kind: str = "vertex"
+    ) -> np.ndarray:
+        """:meth:`charge_vertex_fetch` of ``n[j]`` segments of ``nbytes[j]``
+        bytes in all, for each ``j`` in turn; an entry with ``n[j] == 0``
+        charges nothing. Returns the clock of ``kind`` before the first
+        charge and after each."""
+        lat, bw = self._light_lat_bw()
+        t = _cost(n, lat, nbytes, bw)
+        if kind == "vertex":
+            clock = _fold(self.vertex_io_s, t)
+            self.vertex_io_num += int(np.sum(n))
+            self.vertex_io_s = float(clock[-1])
+        elif kind == "ondemand":
+            clock = _fold(self.ondemand_io_s, t)
+            self.ondemand_io_num += int(np.sum(n))
+            self.ondemand_io_s = float(clock[-1])
+        else:
+            raise ValueError(kind)
+        return clock
+
     def charge_walk_io(self, n_walks: int) -> None:
         """Sequential read/write of ``n_walks`` encoded walks (pool load/flush)."""
         if n_walks == 0:
             return
-        p = self.params
-        nbytes = n_walks * p.walk_bytes
-        bw = p.mem_bw_bps if self.cache == "all" else p.seq_bw_bps
-        lat = p.hit_lat_s if self.cache == "all" else p.seq_seek_s
+        lat, bw = self._walk_lat_bw()
+        nbytes = n_walks * self.params.walk_bytes
         self.walk_io_bytes += nbytes
-        self.walk_io_s += lat + nbytes / bw
+        self.walk_io_s += _cost(1, lat, nbytes, bw)
+
+    def charge_walk_ios(self, n_walks: np.ndarray) -> None:
+        """:meth:`charge_walk_io` of each ``n_walks[j]`` in turn (an entry of
+        0 charges nothing)."""
+        lat, bw = self._walk_lat_bw()
+        nbytes = n_walks * self.params.walk_bytes
+        self.walk_io_bytes += int(np.sum(nbytes))
+        self.walk_io_s = float(_fold(self.walk_io_s, _cost(n_walks > 0, lat, nbytes, bw))[-1])
 
     # -- reporting ----------------------------------------------------------
     @property

@@ -58,6 +58,8 @@ class BlockStore:
         ne = csr.indptr[s[1:]] - csr.indptr[s[:-1]]
         # Index-file slice (nv+1 entries) + CSR-file slice (ne values).
         self._block_bytes = (vb * (nv + 1) + vb * ne).astype(np.int64)
+        # Per vertex: two index entries (start/end offset) + the neighbor list.
+        self.seg_bytes = (2 * vb + vb * csr.deg).astype(np.int64)
         # Dense vertex→block map, built once. The extra last entry is -1, so
         # indexing with prev = -1 (a walk yet to step) yields block -1.
         self.block_map = np.append(part.block_of(np.arange(csr.n)), -1).astype(np.int64)
@@ -81,12 +83,14 @@ class BlockStore:
     def block_bytes(self, b: int) -> int:
         return int(self._block_bytes[b])
 
+    def block_bytes_of(self, bids: np.ndarray) -> np.ndarray:
+        """:meth:`block_bytes` of each block id in ``bids``."""
+        return self._block_bytes[bids]
+
     def vertex_seg_bytes(self, vs: np.ndarray) -> np.ndarray:
-        """Bytes of each vertex's CSR segment fetched by a light vertex I/O:
-        two index entries (start/end offset) + the neighbor list."""
-        vb = self.params.value_bytes
-        deg = self.csr.indptr[np.asarray(vs) + 1] - self.csr.indptr[np.asarray(vs)]
-        return 2 * vb + vb * deg
+        """Bytes of each vertex's CSR segment fetched by a light vertex I/O
+        (:attr:`seg_bytes`)."""
+        return self.seg_bytes[np.asarray(vs)]
 
     # -- physical layer -----------------------------------------------------
     def _block_path(self, b: int) -> Path:

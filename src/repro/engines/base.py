@@ -13,7 +13,8 @@ current block and its bucket's ancillary block, route the exits — under an
 one bucket (SOGW, SGSC, first-order) is the same protocol with bucket ``b``
 alone. The charges that depend on bucket order are recorded in a
 :class:`SlotLog` while the batch runs and replayed at slot end in bucket
-order, as a bucket-at-a-time engine makes them.
+order, as a bucket-at-a-time engine makes them: a full-load slot in a short
+loop, a slot that may load on demand from arrays, one call per clock.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
-from repro.engines.loading import FULL, BlockLoader
+from repro.engines.loading import FULL, ONDEMAND, BlockLoader
 from repro.engines.scheduling import Scheduler, make_scheduler
 from repro.graphs.csr import CSR
 from repro.walks.models import Recorder, WalkTask, advance, done_mask
@@ -45,6 +46,9 @@ class WalkPools:
         self._sim = sim
         self._pools = WalkGroups()
         self.counts = np.zeros(n_blocks, dtype=np.int64)
+        # Pool ids in the narrowest unsigned type that holds them (uint8 up
+        # to 256 blocks), so grouping them is numpy's O(n) radix sort.
+        self._key_dtype = np.min_scalar_type(max(n_blocks - 1, 0))
 
     def add_grouped(self, block_per_walk: np.ndarray, walks: Walks) -> None:
         """Persist walks into pools keyed by ``block_per_walk`` (one walk
@@ -58,7 +62,7 @@ class WalkPools:
         """:meth:`add_grouped` without the charge, for a caller that charges
         the write itself (a :class:`SlotLog` replay)."""
         self.counts += np.bincount(block_per_walk, minlength=len(self.counts))
-        self._pools.add(block_per_walk, walks)
+        self._pools.add(block_per_walk.astype(self._key_dtype), walks)
 
     def pop(self, b: int) -> Walks:
         """Load and clear pool ``b`` (charged as sequential walk I/O). The
@@ -164,19 +168,6 @@ def make_recorder(
     return rec
 
 
-def _grouped(pairs: list[tuple[np.ndarray, np.ndarray]]) -> dict[int, np.ndarray]:
-    """{key: values} from (keys, values) chunks."""
-    if not pairs:
-        return {}
-    keys = np.concatenate([k for k, _ in pairs])
-    if not len(keys):
-        return {}
-    order = np.argsort(keys, kind="stable")
-    keys, vals = keys[order], np.concatenate([v for _, v in pairs])[order]
-    cuts = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
-    return {int(keys[lo]): vals[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(keys)])}
-
-
 class SlotLog:
     """The charges of one time slot that depend on bucket order.
 
@@ -192,6 +183,11 @@ class SlotLog:
     summed in the order a bucket-at-a-time run sums it. A walk's local step
     counts its steps since it entered its bucket; ``width`` bounds it, and
     its step key ``bucket·width + local step`` orders the charges.
+
+    With ``vertices`` (a loader that may load on demand), the activations
+    and touches are the raw material of one first-touch pass: the vertices
+    a bucket's on-demand load pays for are the first touch of each, at its
+    activation or at the first local step that reaches it.
     """
 
     def __init__(self, b: int, block_map: np.ndarray, width: int, vertices: bool) -> None:
@@ -200,21 +196,26 @@ class SlotLog:
         self.width = width
         self.vertices = vertices
         self._entered: list[np.ndarray] = []
-        self._activated: list[tuple[np.ndarray, np.ndarray]] = []  # (bucket, vertex)
+        # (charge position, vertex) of each activation and each touch: a
+        # touch at the step keyed k sits at k, and its bucket's activation at
+        # the bucket's first key - 1, a key no step takes (local steps stay
+        # below width - 1), so it sorts after every step of the bucket before.
+        self._activated: list[tuple[np.ndarray, np.ndarray]] = []
         self._exits: list[np.ndarray] = []  # step key per pool-bound exit
-        self._touched: list[tuple[np.ndarray, np.ndarray]] = []  # (step key, vertex)
+        self._touched: list[tuple[np.ndarray, np.ndarray]] = []
 
     def enter(self, bucket: np.ndarray, walks: Walks) -> np.ndarray:
         """``walks`` enter buckets ``bucket`` at local step 0; returns their
         step keys. The log keeps ``bucket``, so the caller must not write
         into it afterwards."""
         self._entered.append(bucket)
+        key = bucket * self.width
         if self.vertices:
             ancillary = bucket != self.b
             for v in (walks.prev, walks.cur):
                 inside = ancillary & (self.bmap[v] == bucket)
-                self._activated.append((bucket[inside], v[inside]))
-        return bucket * self.width
+                self._activated.append((key[inside] - 1, v[inside]))
+        return key
 
     def touch(self, cur: np.ndarray, bucket: np.ndarray, key: np.ndarray) -> None:
         """Walks of ``bucket`` about to take the step keyed ``key`` from ``cur``."""
@@ -237,21 +238,73 @@ class SlotLog:
         n_out = np.bincount(
             np.concatenate([*self._exits, _NONE]) - lo, minlength=int(ids[-1]) * w + w - lo
         )
-        activated, touched = _grouped(self._activated), _grouped(self._touched)
-        has_step = n_out > 0
-        has_step[np.fromiter(touched, np.int64, len(touched)) - lo] = True
-        steps = np.flatnonzero(has_step)
+        sim.bucket_execs += len(ids)
+        if self.vertices:
+            self._replay_arrays(sim, loader, ids, n_in, n_out, lo)
+            return
+        # Full loads only: a short loop, cheaper than array calls for the
+        # one or few buckets and exit steps most such slots have.
+        steps = np.flatnonzero(n_out)
         cuts = [*np.searchsorted(steps, ids * w - lo).tolist(), len(steps)]
-        n_out, steps = n_out[steps].tolist(), (steps + lo).tolist()
+        n_out = n_out[steps].tolist()
         for j, i in enumerate(ids.tolist()):
-            sim.bucket_execs += 1
             if i != b:  # bucket b needs no ancillary block
-                loader.load(i, int(n_in[i]), activated.get(i, _NONE))
+                loader.load(i, int(n_in[i]), _NONE)
             for k in range(cuts[j], cuts[j + 1]):
-                if loader.partial:  # loaded on demand: fetch what steps touch
-                    loader.ensure(touched.get(steps[k], _NONE))
                 sim.charge_walk_io(n_out[k])
             loader.finish()
+
+    def _replay_arrays(
+        self,
+        sim: DiskSim,
+        loader: BlockLoader,
+        ids: np.ndarray,
+        n_in: np.ndarray,
+        n_out: np.ndarray,
+        lo: int,
+    ) -> None:
+        """:meth:`replay` for a loader that may load on demand, one array
+        call per clock. Each clock is a sum of its own (only block seeks
+        carry state, chained in bucket order), so charging each clock's run
+        in order gives the counters of the bucket-by-bucket charges; the
+        ``LoadLogs`` times are read off the clocks' prefix values."""
+        b, w, store = self.b, self.width, loader.store
+        anc = ids[ids != b]  # the buckets whose ancillary block the replay loads
+        eta, full = loader.full_loads(anc, n_in[anc])
+        block_clock = sim.charge_block_loads(anc[full], store.block_bytes_of(anc[full]))
+        on_demand = np.zeros(store.n_blocks, dtype=bool)
+        on_demand[anc[~full]] = True
+        # First-order's current block b was loaded on demand as the slot
+        # started. Its fetched vertices take bucket b's activation position,
+        # which no bi-block activation uses, and are charged nothing.
+        on_demand[b] = seeded = loader.partial
+        seed = loader.fetched() if seeded else _NONE
+        entries = [*self._activated, *self._touched]
+        vs = np.concatenate([seed, *(v for _, v in entries)])
+        pos = np.concatenate([np.full(len(seed), b * w - 1), *(p for p, _ in entries)])
+        keep = on_demand[self.bmap[vs]]
+        # The first touch of each vertex: a vertex lies in one block, so only
+        # that block's bucket fetches it, at its earliest position. Positions
+        # are taken relative to the slot's first, lo - 1.
+        span = len(n_out)
+        v, rel = np.divmod(np.sort(vs[keep] * span + (pos[keep] - (lo - 1))), span)
+        new = np.empty(len(v), dtype=bool)
+        new[:1] = True
+        np.not_equal(v[1:], v[:-1], out=new[1:])
+        new &= rel != b * w - lo  # the seed
+        v, rel = v[new], rel[new]
+        n = np.bincount(rel, minlength=span)
+        at = np.flatnonzero(n)
+        nbytes = np.bincount(rel, weights=store.seg_bytes[v], minlength=span)[at]
+        od_clock = sim.charge_vertex_fetches(n[at], nbytes, kind="ondemand")
+        sim.charge_walk_ios(n_out[n_out > 0])
+        if loader.logs is not None and len(anc):
+            nb = np.cumsum(full)  # block loads up to and including each bucket
+            o0, o1 = np.searchsorted(at, [anc * w - lo, anc * w + w - lo])
+            t = (block_clock[nb] + od_clock[o1]) - (block_clock[nb - full] + od_clock[o0])
+            modes = np.where(full, FULL, ONDEMAND)
+            loader.logs.extend(anc.tolist(), eta.tolist(), t.tolist(), modes.tolist())
+        loader.finish()  # closes a load made as the slot started
 
 
 class EnginePolicy:

@@ -11,10 +11,12 @@ method:
 * **GraSorw**: Iteration-based scheduling + learning-based block loading.
 
 A slot is one bucket, the current block ``b`` alone, brought in by the
-policy's :class:`~repro.engines.loading.BlockLoader`. Its on-demand fetches
-of current vertices and its exit writes are recorded in the slot's
-:class:`~repro.engines.base.SlotLog` and replayed at slot end step by step,
-which also closes the block load (its ``LoadLogs`` entry).
+policy's :class:`~repro.engines.loading.BlockLoader` as the slot starts.
+The current vertices its steps touch and its exit writes are recorded in the
+slot's :class:`~repro.engines.base.SlotLog` and replayed at slot end in step
+order: loaded on demand, each vertex the load has not fetched is fetched at
+its first touch. The replay also closes the block load (its ``LoadLogs``
+entry).
 """
 from __future__ import annotations
 

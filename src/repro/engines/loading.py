@@ -7,7 +7,16 @@ Two ways to bring a block into memory:
 * **on-demand load** — read only the CSR segments of *activated* vertices
   (the previous/current vertices of the walks about to execute), as light
   random reads charged to the "ondemand" counter; vertices that become
-  activated later, while walks move inside the block, are fetched solo.
+  activated later, while walks move inside the block, are fetched solo,
+  each once per load.
+
+A :class:`BlockLoader` makes the loads that happen as a slot starts
+(first-order's current block). The ancillary loads of a slot whose blocks
+may load on demand are charged at slot end by
+:meth:`~repro.engines.base.SlotLog.replay`, from the slot's arrays: the
+loader picks every bucket's mode at once (:meth:`BlockLoader.full_loads`),
+and one first-touch pass over the slot's activations and touches gives
+every fetch.
 
 The learning-based model (§5.2) fits, per block, ``t_f = α_f·η + b_f`` for
 full load and ``t_o = α_o·η + b_o`` for on-demand load, where
@@ -52,6 +61,13 @@ class LoadLogs:
         self.eta.append(eta)
         self.t.append(t)
         self.mode.append(mode)
+
+    def extend(self, bid: list[int], eta: list[float], t: list[float], mode: list[str]) -> None:
+        """:meth:`add` of each record in turn."""
+        self.bid += bid
+        self.eta += eta
+        self.t += t
+        self.mode += mode
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return (
@@ -112,19 +128,29 @@ class LearnedLoadModel:
         out = np.where(a_o > a_f, thr, np.where(b_o <= b_f, np.inf, 0.0))
         return np.where(np.isnan(out), np.inf, out)
 
+    def prefers_full(self, bid, eta):
+        """Whether full load is the mode with the lower predicted cost of
+        loading block ``bid`` at ``η = eta``: also on a tie, and for blocks
+        without on-demand data (α_o = inf). Elementwise over arrays of
+        blocks and η, so a slot's buckets are chosen in one call."""
+        a_f, b_f, a_o, b_o = self.coef[bid].T
+        with np.errstate(invalid="ignore"):  # inf·0 where α_o = inf and η = 0
+            return ~np.isfinite(a_o) | (a_f * eta + b_f <= a_o * eta + b_o)
+
     def choose(self, bid: int, eta: float) -> str:
-        a_f, b_f, a_o, b_o = self.coef[bid]
-        if not np.isfinite(a_o):
-            return FULL
-        return FULL if a_f * eta + b_f <= a_o * eta + b_o else ONDEMAND
+        """The mode :meth:`prefers_full` picks for one block."""
+        return FULL if self.prefers_full(bid, eta) else ONDEMAND
 
 
 class BlockLoader:
-    """Executes a chosen loading method against the store + I/O simulator.
+    """Chooses a loading method and makes loads against the store + I/O
+    simulator.
 
-    For on-demand loads it tracks which vertices of the block are resident
-    so later ``ensure`` calls only fetch (and charge) newly activated
-    vertices — the paper's "get its CSR segmentation solely from disk".
+    :meth:`load` brings one block in as a slot starts; loaded on demand, it
+    fetches the activated vertices, and the slot's replay fetches each
+    vertex its steps touch later once (:meth:`fetched` gives it the
+    vertices already fetched) — the paper's "get its CSR segmentation
+    solely from disk".
     """
 
     def __init__(
@@ -143,6 +169,8 @@ class BlockLoader:
         self.mode = mode
         self.model = model
         self.logs = logs
+        nv = np.diff(store.part.block_starts)
+        self._eta_div = np.maximum(nv, 1)  # η = walks / vertices of the block
         self._bid: int | None = None
         self._loaded: np.ndarray | None = None  # None = fully loaded
         self._lo = 0
@@ -175,15 +203,28 @@ class BlockLoader:
             raise ValueError(chosen)
         return chosen
 
+    def full_loads(self, bids: np.ndarray, walks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(η, full-load mask) of loading blocks ``bids`` for buckets of
+        ``walks`` walks each: the choice :meth:`load` makes, for every
+        bucket of a slot at once."""
+        eta = walks / self._eta_div[bids]
+        if self.mode == LEARNED:
+            return eta, self.model.prefers_full(bids, eta)
+        return eta, np.full(len(bids), self.mode == FULL)
+
     @property
     def partial(self) -> bool:
         """True while the current block is loaded on demand (vertex by
         vertex); ``ensure`` is a no-op otherwise."""
         return self._loaded is not None
 
+    def fetched(self) -> np.ndarray:
+        """Global ids of the vertices the current on-demand load has fetched."""
+        return np.flatnonzero(self._loaded) + self._lo
+
     def ensure(self, vs: np.ndarray) -> None:
         """Make vertices ``vs`` (global ids inside the block) resident,
-        charging a light on-demand read for each newly activated vertex."""
+        charging one light on-demand read for each not yet fetched."""
         if self._loaded is None or len(vs) == 0:
             return
         local = np.unique(np.asarray(vs, dtype=np.int64)) - self._lo

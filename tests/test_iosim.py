@@ -1,6 +1,10 @@
 """Tests for the I/O cost model and counters (repro.disk.iosim)."""
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.disk.iosim import DiskSim, IOParams
 
@@ -122,3 +126,59 @@ class TestClocks:
             "walk_io_bytes", "walk_io_s", "time_slots", "bucket_execs", "steps",
         ):
             assert k in snap
+
+
+class TestArrayCharges:
+    """The array charges a slot replay makes are the scalar charges, folded
+    into each clock one by one: every field stays ``==``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cache=st.sampled_from(["none", "all"]),
+        clocks=st.tuples(*[st.floats(0, 1e12) for _ in range(4)]),
+        last_block=st.sampled_from([-(10**9), 0, 3]),
+        blocks=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 10**7)), max_size=20),
+        fetches=st.lists(st.lists(st.integers(8, 10**6), max_size=6), max_size=20),
+        kind=st.sampled_from(["vertex", "ondemand"]),
+        byte_type=st.sampled_from([np.int64, np.float64]),
+        walks=st.lists(st.integers(0, 10**6), max_size=20),
+    )
+    def test_equal_to_scalar_charges(
+        self, cache, clocks, last_block, blocks, fetches, kind, byte_type, walks
+    ):
+        def start() -> DiskSim:
+            sim = DiskSim(params=IOParams(), cache=cache)
+            sim.block_io_s, sim.vertex_io_s, sim.ondemand_io_s, sim.walk_io_s = clocks
+            sim.block_io_num, sim.ondemand_io_num, sim.walk_io_bytes = 5, 7, 16
+            sim._last_block = last_block
+            return sim
+
+        one, arr = start(), start()
+        want_blocks, want_fetches = [one.block_io_s], [getattr(one, f"{kind}_io_s")]
+        for bid, nbytes in blocks:
+            one.charge_block_load(bid, nbytes)
+            want_blocks.append(one.block_io_s)
+        for seg in fetches:  # an empty list is a zero entry
+            one.charge_vertex_fetch(np.array(seg, dtype=np.int64), kind=kind)
+            want_fetches.append(getattr(one, f"{kind}_io_s"))
+        for n in walks:
+            one.charge_walk_io(n)
+
+        got_blocks = arr.charge_block_loads(
+            np.array([b for b, _ in blocks], dtype=np.int64),
+            np.array([x for _, x in blocks], dtype=np.int64),
+        )
+        got_fetches = arr.charge_vertex_fetches(
+            np.array([len(s) for s in fetches], dtype=np.int64),
+            np.array([sum(s) for s in fetches], dtype=byte_type),
+            kind=kind,
+        )
+        arr.charge_walk_ios(np.array(walks, dtype=np.int64))
+
+        assert dataclasses.asdict(arr) == dataclasses.asdict(one)
+        assert got_blocks.tolist() == want_blocks
+        assert got_fetches.tolist() == want_fetches
+
+    def test_bad_kind(self, sim):
+        with pytest.raises(ValueError):
+            sim.charge_vertex_fetches(np.array([1]), np.array([8]), kind="bogus")

@@ -1,6 +1,8 @@
 """Tests for block loading methods and the learning-based model (paper §5)."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
@@ -17,6 +19,7 @@ from repro.walks.models import WalkTask
 from repro.walks.state import Walks
 
 from .helpers import all_vertex_starts, even_partition, random_csr
+from .sequential_oracle import choose as choose_one
 
 
 def _store(n=100, m=400, nb=5, seed=0):
@@ -73,6 +76,27 @@ class TestLearnedModel:
         model = LearnedLoadModel.fit(LoadLogs(), 2)
         assert model.choose(0, 0.01) == FULL
         assert model.choose(1, 0.99) == FULL
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        coef=st.lists(
+            st.tuples(*[st.sampled_from([0.0, 0.5, 1.0, 2.0])] * 2,
+                      *[st.sampled_from([0.0, 0.5, 1.0, 2.0, np.inf])] * 2),
+            min_size=1, max_size=4,
+        ),
+        picks=st.lists(st.tuples(st.integers(0, 3), st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0])),
+                       max_size=12),
+    )
+    def test_array_choice_matches_scalar_rule(self, coef, picks):
+        """The slot-at-once choice is the one-block rule: small dyadic
+        coefficients make ties (full load wins them) common, and α_o = inf
+        (no on-demand data) always loads fully."""
+        model = LearnedLoadModel(coef=np.array(coef, dtype=np.float64))
+        bids = np.array([b % len(coef) for b, _ in picks], dtype=np.int64)
+        eta = np.array([e for _, e in picks], dtype=np.float64)
+        want = [choose_one(model, int(b), float(e)) for b, e in zip(bids, eta)]
+        assert model.prefers_full(bids, eta).tolist() == [m == FULL for m in want]
+        assert [model.choose(int(b), float(e)) for b, e in zip(bids, eta)] == want
 
     def test_saturating_ondemand_curve_prefers_full(self):
         """The refinement over §5.2.1: when t_o(η) saturates (concave), the
