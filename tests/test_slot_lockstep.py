@@ -6,7 +6,8 @@ as one batch and replay the charges that depend on bucket order afterwards.
 That replay must put every float counter, every ``LoadLogs`` entry and the
 fitted load-model coefficients exactly where the oracle puts them. These
 hypothesis tests compare them with ``==``, together with the walk paths and
-the sequence of simulated charges itself, across random graphs, partitions
+the sequence of simulated charges itself (clock by clock where an on-demand
+replay charges each clock in one array call), across random graphs, partitions
 (one block, singleton blocks, even blocks, a hub-dominated graph), the
 second-order tasks, every loading mode of the bi-block engine, every
 scheduler of PB, SOGW and SGSC, and the first-order engines under every
