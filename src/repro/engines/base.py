@@ -295,6 +295,7 @@ class SlotLog:
         v, rel = v[new], rel[new]
         n = np.bincount(rel, minlength=span)
         at = np.flatnonzero(n)
+        # float64 sums of whole byte counts: exact while below 2**53.
         nbytes = np.bincount(rel, weights=store.seg_bytes[v], minlength=span)[at]
         od_clock = sim.charge_vertex_fetches(n[at], nbytes, kind="ondemand")
         sim.charge_walk_ios(n_out[n_out > 0])
