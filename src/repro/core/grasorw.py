@@ -3,8 +3,9 @@
 ``GraphSystem.build`` runs the Spark side (CSR sort, partitioning, optional
 METIS-lite relabeling, block materialization on disk) and returns a system
 handle; ``run`` dispatches to any of the paper's engines; ``train_load_model``
-implements the §5.2.2 protocol (run the task twice — full-load then
-on-demand — and fit the per-block linear models).
+implements the §5.2.2 protocol (the task's full-load and on-demand load
+records, then the per-block linear fits) with one walk pass and two
+accountings.
 """
 from __future__ import annotations
 
@@ -19,7 +20,14 @@ from repro.disk.store import BlockStore
 from repro.engines.base import EngineResult
 from repro.engines.bi_block import run_bi_block
 from repro.engines.first_order import run_first_order
-from repro.engines.loading import FULL, LEARNED, ONDEMAND, LearnedLoadModel, LoadLogs
+from repro.engines.loading import (
+    FULL,
+    LEARNED,
+    ONDEMAND,
+    FullLoadShadow,
+    LearnedLoadModel,
+    LoadLogs,
+)
 from repro.engines.plain_bucket import run_plain_bucket
 from repro.engines.sgsc import run_sgsc
 from repro.engines.sogw import run_sogw
@@ -98,9 +106,11 @@ class GraphSystem:
         record_paths: bool = False,
         **kw,
     ) -> EngineResult:
-        """Run one engine. Engines: SOGW, SGSC, PB, GraSorw (bi-block),
-        GraSorw-full / GraSorw-ondemand (forced loading), GraphWalker,
-        GraSorw-FO / GraSorw-FO-No-LBL (first-order modes)."""
+        """Run one engine: SOGW, SGSC, PB, GraSorw (bi-block), GraphWalker
+        or GraSorw-FO (first-order, Iteration-based unless ``scheduler=``).
+        GraSorw and GraSorw-FO load blocks by the learned model when given
+        ``load_model`` and fully otherwise; ``loading=`` forces a mode
+        ("full", "ondemand" or "learned")."""
         sim = self.new_sim()
         if engine == "SOGW":
             return run_sogw(self.store, task, starts, sim=sim, record_paths=record_paths, **kw)
@@ -142,17 +152,15 @@ class GraphSystem:
     def train_load_model(
         self, task: WalkTask, starts: Walks, *, first_order: bool = False
     ) -> tuple[LearnedLoadModel, LoadLogs]:
-        """§5.2.2: run the task once per forced loading mode, fit the model."""
-        logs = LoadLogs()
-        for mode in (FULL, ONDEMAND):
-            sim = self.new_sim()
-            if first_order:
-                run_first_order(
-                    self.store, task, starts, sim=sim, scheduler="iteration",
-                    loading=mode, load_logs=logs,
-                )
-            else:
-                run_bi_block(
-                    self.store, task, starts, sim=sim, loading=mode, load_logs=logs
-                )
-        return LearnedLoadModel.fit(logs, self.store.n_blocks), logs
+        """§5.2.2: fit the model to the records of a forced full-load run
+        followed by those of a forced on-demand run. The mode moves no walk,
+        so one on-demand walk pass makes both: its :class:`FullLoadShadow`
+        keeps the full-load accounting."""
+        shadow, logs = FullLoadShadow(self.new_sim()), LoadLogs()
+        kw = dict(sim=self.new_sim(), loading=ONDEMAND, load_logs=logs, shadow=shadow)
+        if first_order:
+            run_first_order(self.store, task, starts, scheduler="iteration", **kw)
+        else:
+            run_bi_block(self.store, task, starts, **kw)
+        shadow.logs.extend(logs.bid, logs.eta, logs.t, logs.mode)
+        return LearnedLoadModel.fit(shadow.logs, self.store.n_blocks), shadow.logs

@@ -28,7 +28,7 @@ from repro.disk.store import BlockStore
 from repro.engines.loading import FULL, ONDEMAND, BlockLoader
 from repro.engines.scheduling import Scheduler, make_scheduler
 from repro.graphs.csr import CSR
-from repro.walks.models import Recorder, WalkTask, advance, done_mask
+from repro.walks.models import Recorder, WalkTask, advance, done_mask, draw_keys
 from repro.walks.state import WalkGroups, Walks
 
 _NONE = np.empty(0, dtype=np.int64)
@@ -123,11 +123,14 @@ class EngineResult:
         return {"engine": self.name, **self.sim.snapshot()}
 
 
-def split_done(task: WalkTask, csr: CSR, walks: Walks) -> tuple[Walks, Walks]:
-    """(finished, live) split by the deterministic termination rule."""
+def split_done(
+    task: WalkTask, csr: CSR, walks: Walks, keys: dict | None = None
+) -> tuple[Walks, Walks]:
+    """(finished, live) split by the deterministic termination rule
+    (``keys`` as for :func:`~repro.walks.models.done_mask`)."""
     if not len(walks):
         return walks, walks
-    d = done_mask(task, csr, walks)
+    d = done_mask(task, csr, walks, keys)
     return walks.select(d), walks.select(~d)
 
 
@@ -138,14 +141,16 @@ def split_step(
     walks: Walks,
     b: int,
     bucket: np.ndarray,
+    keys: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Masks of a batch right after ``advance``: (done, out, blocks).
 
-    ``done`` marks finished walks. ``out`` marks live walks whose current
-    block is neither ``b`` nor their bucket's block ``bucket`` (one id per
-    walk). ``blocks`` holds every walk's current block.
+    ``done`` marks finished walks (``keys`` as for
+    :func:`~repro.walks.models.done_mask`). ``out`` marks live walks whose
+    current block is neither ``b`` nor their bucket's block ``bucket`` (one
+    id per walk). ``blocks`` holds every walk's current block.
     """
-    done = done_mask(task, csr, walks)
+    done = done_mask(task, csr, walks, keys)
     curb = block_map[walks.cur]
     return done, (curb != b) & (curb != bucket) & ~done, curb
 
@@ -271,6 +276,8 @@ class SlotLog:
         b, w, store = self.b, self.width, loader.store
         anc = ids[ids != b]  # the buckets whose ancillary block the replay loads
         eta, full = loader.full_loads(anc, n_in[anc])
+        if loader.shadow is not None:  # a full-load run loads every ancillary block
+            loader.shadow_loads(anc, eta)
         block_clock = sim.charge_block_loads(anc[full], store.block_bytes_of(anc[full]))
         on_demand = np.zeros(store.n_blocks, dtype=bool)
         on_demand[anc[~full]] = True
@@ -313,9 +320,10 @@ class EnginePolicy:
 
     The defaults are the plainest engine: walks pooled with their current
     block, which is fully loaded; one bucket per slot; no per-step reads;
-    exits pooled with their new current block. ``loader`` brings in each
-    bucket's ancillary block (by default fully); the replay of every slot's
-    :class:`SlotLog` drives it. Engines override the hooks they change;
+    exits pooled with their new current block. ``loader`` brings in the
+    current block and each bucket's ancillary block (by default fully); the
+    replay of every slot's :class:`SlotLog` drives the latter. Engines
+    override the hooks they change;
     :func:`run_engine` calls them in a fixed order.
     """
 
@@ -334,7 +342,7 @@ class EnginePolicy:
     def load_current(self, b: int, walks: Walks) -> None:
         """Bring current block ``b`` in for its pooled ``walks``, which may be
         empty when the scheduler picks a walk-less block."""
-        self.sim.charge_block_load(b, self.store.block_bytes(b))
+        self.loader.load_whole(b)
 
     def bucket_of(self, b: int, walks: Walks) -> np.ndarray:
         """Bucket of each walk of slot ``b``: the ancillary block it runs
@@ -375,7 +383,8 @@ def run_engine(
     sched = make_scheduler(sched) if isinstance(sched, str) else sched
     sched.reset()
     pools = WalkPools(sim, store.n_blocks)
-    _, live = split_done(task, csr, starts)
+    draws = draw_keys(task, starts)  # one premix per walk and salt, not per draw
+    _, live = split_done(task, csr, starts, draws)
     pools.add_grouped(policy.pool_of(live), live)
     width = task.max_len + 1  # local steps per bucket are < max_len
     vertices = policy.loader.mode != FULL  # an on-demand replay needs them
@@ -397,10 +406,10 @@ def run_engine(
             if vertices:
                 log.touch(active.cur, bucket, key)
             t0 = time.perf_counter()
-            advance(csr, task, active, rec)
+            advance(csr, task, active, rec, draws)
             sim.steps += len(active)
             sim.exec_real_s += time.perf_counter() - t0
-            done, out, curb = split_step(task, csr, bmap, active, b, bucket)
+            done, out, curb = split_step(task, csr, bmap, active, b, bucket, draws)
             if out.any():
                 ext = policy.extends(active, curb, b, bucket) & out
                 if ext.any():

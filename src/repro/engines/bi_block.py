@@ -31,7 +31,7 @@ import numpy as np
 from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
 from repro.engines.base import EngineResult, EnginePolicy, make_recorder, run_engine
-from repro.engines.loading import FULL, BlockLoader, LearnedLoadModel, LoadLogs
+from repro.engines.loading import FULL, BlockLoader, FullLoadShadow, LearnedLoadModel, LoadLogs
 from repro.engines.scheduling import IterationScheduler
 from repro.walks.buckets import collect_buckets
 from repro.walks.models import WalkTask
@@ -66,15 +66,19 @@ def run_bi_block(
     loading: str = FULL,
     load_model: LearnedLoadModel | None = None,
     load_logs: LoadLogs | None = None,
+    shadow: FullLoadShadow | None = None,
     record_paths: bool = False,
     record_visits: bool = False,
     name: str = "Bi-Block",
 ) -> EngineResult:
     """Run the bi-block engine to completion. ``loading`` selects the
-    ancillary block loading method: "full", "ondemand" or "learned"."""
+    ancillary block loading method: "full", "ondemand" or "learned";
+    ``shadow`` (on demand only) also keeps the full-load accounting."""
     sim = sim or DiskSim(params=store.params)
     rec = make_recorder(store.csr, task, starts, record_paths, record_visits)
-    loader = BlockLoader(store, sim, mode=loading, model=load_model, logs=load_logs)
+    loader = BlockLoader(
+        store, sim, mode=loading, model=load_model, logs=load_logs, shadow=shadow
+    )
     policy = BiBlockPolicy(store, sim, loader)
     return run_engine(store, task, starts, IterationScheduler(), policy, rec, name)
 

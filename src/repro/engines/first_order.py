@@ -23,7 +23,7 @@ from __future__ import annotations
 from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
 from repro.engines.base import EnginePolicy, EngineResult, make_recorder, run_engine
-from repro.engines.loading import FULL, BlockLoader, LearnedLoadModel, LoadLogs
+from repro.engines.loading import FULL, BlockLoader, FullLoadShadow, LearnedLoadModel, LoadLogs
 from repro.engines.scheduling import Scheduler
 from repro.walks.models import WalkTask
 from repro.walks.state import Walks
@@ -49,14 +49,19 @@ def run_first_order(
     loading: str = FULL,
     load_model: LearnedLoadModel | None = None,
     load_logs: LoadLogs | None = None,
+    shadow: FullLoadShadow | None = None,
     record_paths: bool = False,
     record_visits: bool = False,
     name: str = "GraphWalker",
 ) -> EngineResult:
+    """Run the first-order engine to completion; ``loading`` and ``shadow``
+    as for :func:`~repro.engines.bi_block.run_bi_block`."""
     if not task.first_order:
         raise ValueError("run_first_order requires a first-order task")
     sim = sim or DiskSim(params=store.params)
     rec = make_recorder(store.csr, task, starts, record_paths, record_visits)
-    loader = BlockLoader(store, sim, mode=loading, model=load_model, logs=load_logs)
+    loader = BlockLoader(
+        store, sim, mode=loading, model=load_model, logs=load_logs, shadow=shadow
+    )
     policy = FirstOrderPolicy(store, sim, loader)
     return run_engine(store, task, starts, scheduler, policy, rec, name)

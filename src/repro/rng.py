@@ -13,6 +13,12 @@ engine applies the *same numpy kernel* through a pandas UDF, so there is no
 cross-language reimplementation to drift. The rounds run in place on one
 uint64 buffer; uint64 *array* arithmetic wraps silently, so no
 ``np.errstate`` is needed (only numpy scalar arithmetic warns).
+
+The first round depends on (seed, walk_id, salt) alone: :func:`premix`
+gives it as a per-walk *key*, and :func:`keyed_unit` finishes a key at a
+hop. The engines keep one key table per salt for a run, so each draw pays
+only the second round; :func:`hash_u64` and :func:`unit_hash` are the two
+halves composed.
 """
 from __future__ import annotations
 
@@ -57,18 +63,38 @@ def _u64(a) -> np.ndarray:
     return out.reshape(1) if out.ndim == 0 else out
 
 
-def _hash(seed: int, walk_id, hop, salt: int) -> np.ndarray:
-    """:func:`hash_u64` as a fresh uint64 array of at least one element."""
+def premix(seed: int, walk_id, salt: int = 0) -> np.ndarray:
+    """The key of each ``walk_id``: the first splitmix64 round of
+    :func:`hash_u64`, over the pre-mixed (seed, salt) base. A fresh uint64
+    array of at least one element."""
     x = _u64(walk_id)
-    h = _u64(hop)
     x ^= _base(seed, salt)
-    _mix(x)
-    h *= _M2
-    if x.size >= h.size:
-        x += h
-    else:  # a scalar walk id against an array of hops
-        x = x + h
     return _mix(x)
+
+
+def _finish(key: np.ndarray, hop) -> np.ndarray:
+    """The second round at ``hop`` of each pre-mixed ``key`` (unchanged):
+    :func:`hash_u64` as a fresh uint64 array of at least one element."""
+    h = _u64(hop)
+    h *= _M2
+    if h.size >= key.size:
+        h += key
+    else:  # one hop against an array of keys
+        h = h + key
+    return _mix(h)
+
+
+def _unit(bits: np.ndarray) -> np.ndarray:
+    """The top 53 bits of ``bits`` (overwritten) as doubles in [0, 1)."""
+    bits >>= _S11
+    u = bits.astype(np.float64)
+    u /= _TWO53
+    return u
+
+
+def keyed_unit(key: np.ndarray, hop) -> np.ndarray:
+    """:func:`unit_hash` of the walks whose :func:`premix` keys are ``key``."""
+    return _unit(_finish(key, hop))
 
 
 def _is_scalar(walk_id, hop) -> bool:
@@ -82,7 +108,7 @@ def hash_u64(seed: int, walk_id: np.ndarray, hop: np.ndarray, salt: int = 0) -> 
     broadcasting follows numpy rules. Output dtype is uint64. Two splitmix64
     finalizer rounds over the pre-mixed (seed, salt) base.
     """
-    x = _hash(seed, walk_id, hop, salt)
+    x = _finish(premix(seed, walk_id, salt), hop)
     return x[0] if _is_scalar(walk_id, hop) else x
 
 
@@ -92,8 +118,5 @@ def unit_hash(seed: int, walk_id, hop, salt: int = 0) -> np.ndarray:
     Uses the top 53 bits of :func:`hash_u64` so the value is exactly
     representable as a double and identical wherever the kernel runs.
     """
-    bits = _hash(seed, walk_id, hop, salt)
-    bits >>= _S11
-    u = bits.astype(np.float64)
-    u /= _TWO53
+    u = keyed_unit(premix(seed, walk_id, salt), hop)
     return u[0] if _is_scalar(walk_id, hop) else u

@@ -10,6 +10,9 @@ for walk ``wid`` at step ``hop`` is the counter-based hash from
 :mod:`repro.rng` — independent of execution order — so every engine produces
 bit-identical trajectories (the mechanical form of the paper's Appendix-B
 correctness argument), and the Spark join engine reuses the identical kernel.
+An engine run passes :func:`draw_keys` of its walks to :func:`advance` and
+:func:`done_mask`, which then finish each walk's pre-mixed key instead of
+hashing its id again; the reference walker hashes every draw in full.
 
 Sampling rule: neighbors of the current vertex are taken in ascending vertex
 id (CSR order); the sampled neighbor is the first whose cumulative weight
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graphs.csr import CSR
-from repro.rng import unit_hash
+from repro.rng import keyed_unit, premix, unit_hash
 from repro.walks.state import Walks
 
 SALT_STEP = 0  # draw selecting the next vertex
@@ -50,7 +53,26 @@ class WalkTask:
     seed: int = 7
 
 
-def done_mask(task: WalkTask, csr: CSR, walks: Walks) -> np.ndarray:
+def draw_keys(task: WalkTask, walks: Walks) -> dict[int, np.ndarray]:
+    """The :func:`~repro.rng.premix` keys of walk ids 0 .. max id of
+    ``walks`` for each salt ``task`` draws from (step, and continue with
+    restart), indexed by walk id."""
+    wid = np.arange(int(walks.wid.max(initial=-1)) + 1)
+    salts = (SALT_STEP,) if task.alpha is None else (SALT_STEP, SALT_CONT)
+    return {salt: premix(task.seed, wid, salt) for salt in salts}
+
+
+def _draw(task: WalkTask, walks: Walks, salt: int, keys: dict | None) -> np.ndarray:
+    """Each walk's uniform draw of ``salt`` at its hop: :func:`unit_hash`,
+    finished from ``keys`` (:func:`draw_keys`) when given."""
+    if keys is None:
+        return unit_hash(task.seed, walks.wid, walks.hop, salt=salt)
+    return keyed_unit(keys[salt][walks.wid], walks.hop)
+
+
+def done_mask(
+    task: WalkTask, csr: CSR, walks: Walks, keys: dict | None = None
+) -> np.ndarray:
     """True where a walk terminates *now* (before taking another step).
 
     Termination: hop budget exhausted, dead-end vertex, or (with restart)
@@ -60,12 +82,14 @@ def done_mask(task: WalkTask, csr: CSR, walks: Walks) -> np.ndarray:
     deg = csr.indptr[walks.cur + 1] - csr.indptr[walks.cur]
     done = (walks.hop >= task.max_len) | (deg == 0)
     if task.alpha is not None and len(walks):
-        cont = unit_hash(task.seed, walks.wid, walks.hop, salt=SALT_CONT) < task.alpha
+        cont = _draw(task, walks, SALT_CONT, keys) < task.alpha
         done |= (walks.hop > 0) & ~cont
     return done
 
 
-def batch_step(csr: CSR, task: WalkTask, walks: Walks) -> np.ndarray:
+def batch_step(
+    csr: CSR, task: WalkTask, walks: Walks, keys: dict | None = None
+) -> np.ndarray:
     """Sample the next vertex for every walk in the batch.
 
     Caller guarantees no walk is done (in particular deg(cur) > 0).
@@ -77,7 +101,7 @@ def batch_step(csr: CSR, task: WalkTask, walks: Walks) -> np.ndarray:
     indptr, indices = csr.indptr, csr.indices
     starts = indptr[walks.cur]
     deg = indptr[walks.cur + 1] - starts
-    u = unit_hash(task.seed, walks.wid, walks.hop, salt=SALT_STEP)
+    u = _draw(task, walks, SALT_STEP, keys)
 
     uniform = task.first_order or (task.p == 1.0 and task.q == 1.0)
     if uniform:
@@ -174,9 +198,11 @@ class Recorder:
             self.paths[walks.wid, walks.hop] = walks.cur
 
 
-def advance(csr: CSR, task: WalkTask, walks: Walks, recorder: Recorder | None) -> Walks:
+def advance(
+    csr: CSR, task: WalkTask, walks: Walks, recorder: Recorder | None, keys: dict | None = None
+) -> Walks:
     """One sampling step for the whole batch, updating state in place."""
-    nxt = batch_step(csr, task, walks)
+    nxt = batch_step(csr, task, walks, keys)
     walks.prev = walks.cur
     walks.cur = nxt
     walks.hop = walks.hop + 1

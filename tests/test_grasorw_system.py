@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import repro.engines.base
 from repro.core.grasorw import GraphSystem
 from repro.core.tasks import RWNVConfig
 from repro.graphs.generators import er_pairs_graph, sbm_graph
@@ -93,3 +94,19 @@ class TestTrainLoadModel:
         model, _ = system.train_load_model(task, starts, first_order=True)
         res = system.run("GraSorw-FO", task, starts, load_model=model)
         assert res.name == "GraSorw"
+
+    @pytest.mark.parametrize("first_order", [False, True])
+    def test_training_walks_once(self, system, monkeypatch, first_order):
+        """Training steps the walks as often as one forced run does: one
+        walk pass makes the records of both loading modes."""
+        task = WalkTask(max_len=6, first_order=first_order, seed=64)
+        starts = RWNVConfig(walks_per_vertex=1, length=6).starts(system.csr)
+        calls = []
+        advance = repro.engines.base.advance
+        monkeypatch.setattr(
+            repro.engines.base, "advance", lambda *a, **kw: calls.append(1) or advance(*a, **kw)
+        )
+        system.train_load_model(task, starts, first_order=first_order)
+        trained = len(calls)
+        system.run("GraSorw-FO" if first_order else "GraSorw", task, starts, loading="full")
+        assert trained == len(calls) - trained > 0

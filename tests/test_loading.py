@@ -7,14 +7,18 @@ from hypothesis import strategies as st
 from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
 from repro.engines.bi_block import run_bi_block
+from repro.engines.first_order import run_first_order
 from repro.engines.loading import (
     FULL,
+    LEARNED,
     ONDEMAND,
     BlockLoader,
+    FullLoadShadow,
     LearnedLoadModel,
     LoadLogs,
     fit_line,
 )
+from repro.engines.scheduling import SCHEDULERS
 from repro.walks.models import WalkTask
 from repro.walks.state import Walks
 
@@ -165,6 +169,52 @@ class TestBlockLoader:
         assert bid[0] == 1 and mode[0] == FULL
         assert eta[0] == pytest.approx(10 / store.part.vertices_in_block(1))
         assert t[0] > 0
+
+
+class TestFullLoadShadow:
+    """A forced on-demand run's shadow gets the block clock and the load
+    records of the forced full-load run of the same walks."""
+
+    def _check(self, store, cache, run):
+        full_logs, od_logs = LoadLogs(), LoadLogs()
+        full = DiskSim(params=store.params, cache=cache)
+        run(sim=full, loading=FULL, load_logs=full_logs)
+        shadow = FullLoadShadow(DiskSim(params=store.params, cache=cache))
+        od = DiskSim(params=store.params, cache=cache)
+        run(sim=od, loading=ONDEMAND, load_logs=od_logs, shadow=shadow)
+        assert len(full_logs.bid) > 0
+        assert shadow.logs == full_logs  # bid, eta, t and mode, each ==
+        assert shadow.sim.block_io_num == full.block_io_num
+        assert shadow.sim.block_io_s == full.block_io_s
+        assert od.ondemand_io_num > 0  # the walked run did load on demand
+        return full
+
+    @pytest.mark.parametrize("cache", ["none", "all"])
+    @pytest.mark.parametrize("task", [WalkTask(max_len=10, seed=5),
+                                      WalkTask(max_len=12, alpha=0.85, p=2.0, q=0.5, seed=6)])
+    def test_bi_block(self, cache, task):
+        store = _store(n=150, m=600, nb=6, seed=5)
+        starts = all_vertex_starts(store.csr, 1)
+        self._check(store, cache, lambda **kw: run_bi_block(store, task, starts, **kw))
+
+    @pytest.mark.parametrize("cache", ["none", "all"])
+    @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
+    def test_first_order(self, cache, scheduler):
+        store = _store(n=150, m=600, nb=6, seed=7)
+        task = WalkTask(max_len=10, first_order=True, seed=7)
+        starts = all_vertex_starts(store.csr, 1)
+        full = self._check(store, cache, lambda **kw: run_first_order(
+            store, task, starts, scheduler=scheduler, **kw))
+        if scheduler == "alphabet":  # some slots loaded a walk-less block
+            assert full.time_slots > full.bucket_execs
+
+    @pytest.mark.parametrize("mode", [FULL, LEARNED])
+    def test_requires_forced_ondemand(self, mode):
+        store = _store()
+        model = LearnedLoadModel(np.zeros((store.n_blocks, 4)))
+        with pytest.raises(ValueError):
+            BlockLoader(store, DiskSim(), mode=mode, model=model,
+                        shadow=FullLoadShadow(DiskSim()))
 
 
 class TestEndToEndLBL:

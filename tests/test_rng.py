@@ -1,8 +1,10 @@
 """Tests for the counter-based RNG kernel (repro.rng)."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.rng import hash_u64, unit_hash
+from repro.rng import hash_u64, keyed_unit, premix, unit_hash
 
 
 class TestDeterminism:
@@ -75,3 +77,42 @@ class TestHashU64:
     def test_negative_seed_ok(self):
         u = unit_hash(-5, np.arange(10), np.zeros(10))
         assert u.min() >= 0.0 and u.max() < 1.0
+
+
+def _splitmix_unit(seed: int, wid: int, hop: int, salt: int) -> float:
+    """The draw formula on Python integers, one value at a time."""
+    mask, gamma = 2**64 - 1, 0x9E3779B97F4A7C15
+
+    def mix(z):
+        z = (z + gamma) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    base = mix(((seed & mask) + (salt & mask) * gamma) & mask)
+    x = mix((wid & mask) ^ base)
+    x = mix((x + (hop & mask) * 0x94D049BB133111EB) & mask)
+    return (x >> 11) / 2.0**53
+
+
+class TestPremixedKeys:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(-(2**63), 2**63 - 1),
+        salt=st.integers(0, 2**16),
+        wid=st.lists(st.one_of(st.integers(-(2**63), -1), st.integers(0, 2**20),
+                               st.integers(2**62, 2**63 - 1)), min_size=1, max_size=20),
+        hop=st.integers(0, 2**31),
+    )
+    def test_composition_is_unit_hash(self, seed, salt, wid, hop):
+        """Finishing :func:`premix` keys gathered by walk id, as the engines
+        do, gives :func:`unit_hash` and the formula, bit for bit."""
+        wid = np.array(wid, dtype=np.int64)
+        hops = hop + np.arange(len(wid))
+        table = premix(seed, wid, salt)
+        rows = np.arange(len(wid))[::-1]
+        got = keyed_unit(table[rows], hops[rows]).tolist()
+        assert got == unit_hash(seed, wid[rows], hops[rows], salt).tolist()
+        assert got == [_splitmix_unit(seed, int(w), int(h), salt)
+                       for w, h in zip(wid[rows], hops[rows])]
+        assert keyed_unit(table, hop).tolist() == unit_hash(seed, wid, hop, salt).tolist()
