@@ -6,15 +6,20 @@ two in-memory blocks lives in :class:`WalkPools` — the on-disk walk pools of
 the paper (one per block) — and every pool load/persist is charged to the
 I/O simulator as sequential walk I/O.
 
-Every engine is the one loop of :func:`run_engine` — pick a pool, load its
-block, step all of its buckets as one batch, each walk until it leaves the
-current block and its bucket's ancillary block, route the exits — under an
-:class:`EnginePolicy` that sets the choices the engines differ in. A slot of
-one bucket (SOGW, SGSC, first-order) is the same protocol with bucket ``b``
-alone. The charges that depend on bucket order are recorded in a
-:class:`SlotLog` while the batch runs and replayed at slot end in bucket
-order, as a bucket-at-a-time engine makes them: a full-load slot in a short
-loop, a slot that may load on demand from arrays, one call per clock.
+Every engine is the one loop of :func:`run_engine` — name a sweep of time
+slots, load their pools, step all of their walks as one batch, each walk
+until it leaves its slot's current block and its bucket's ancillary block,
+route the exits — under an :class:`EnginePolicy` that sets the choices the
+engines differ in. Under Iteration-based scheduling a sweep is the paper's
+iteration: the ascending run of current blocks between two wraps, whose
+later slots take the walks that its earlier ones send up. Under any other
+scheduler, and for SOGW and SGSC, whose reads are charged live, a sweep is
+one slot. A slot of one bucket (SOGW, SGSC, first-order) is the same
+protocol with bucket ``b`` alone. The charges that depend on slot and
+bucket order are recorded in a :class:`SlotLog` while the batch runs and
+replayed slot by slot, in bucket order, as a slot-at-a-time engine makes
+them: a full-load slot in a short loop, a slot that may load on demand from
+arrays, one call per clock.
 """
 from __future__ import annotations
 
@@ -26,7 +31,7 @@ import numpy as np
 from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
 from repro.engines.loading import FULL, ONDEMAND, BlockLoader
-from repro.engines.scheduling import Scheduler, make_scheduler
+from repro.engines.scheduling import IterationScheduler, Scheduler, make_scheduler
 from repro.graphs.csr import CSR
 from repro.walks.models import Recorder, WalkTask, advance, done_mask, draw_keys
 from repro.walks.state import WalkGroups, Walks
@@ -67,10 +72,23 @@ class WalkPools:
     def pop(self, b: int) -> Walks:
         """Load and clear pool ``b`` (charged as sequential walk I/O). The
         result is a fresh table that shares no memory with any pool."""
-        out = Walks.concat(self._pools.pop(b))
-        self.counts[b] = 0
+        out = self.take(b)
         self._sim.charge_walk_io(len(out))
         return out
+
+    def take(self, b: int) -> Walks:
+        """:meth:`pop` without the charge, for a caller that charges the
+        read itself."""
+        out = Walks.concat(self._pools.pop(b))
+        self.counts[b] = 0
+        return out
+
+    def take_all(self) -> tuple[Walks, np.ndarray]:
+        """Clear every pool without charging the reads: their walks as one
+        fresh table, pool after pool in ascending id, and each walk's pool
+        (in the pool ids' narrow type)."""
+        self.counts[:] = 0
+        return self._pools.pop_all()
 
     def total(self) -> int:
         return int(self.counts.sum())
@@ -174,78 +192,166 @@ def make_recorder(
 
 
 class SlotLog:
-    """The charges of one time slot that depend on bucket order.
+    """The charges of a sweep's time slots that depend on bucket order.
 
-    A slot's buckets step as one batch, so a walk of a later bucket may step
-    before one of an earlier bucket has finished. What a bucket-at-a-time
-    engine would charge in bucket order is therefore recorded as the batch
-    runs: the walks entering each bucket (and, with ``vertices``, their
-    vertices inside its ancillary block when that is not the current block
-    ``b``, whose buckets load nothing), the pool-bound exits of each
-    (bucket, local step), and, with ``vertices``, the current vertices each
-    (bucket, local step) has in its ancillary block. :meth:`replay` makes
-    them in bucket order, then local-step order, so every float counter is
-    summed in the order a bucket-at-a-time run sums it. A walk's local step
-    counts its steps since it entered its bucket; ``width`` bounds it, and
-    its step key ``bucket·width + local step`` orders the charges.
+    A sweep's buckets step as one batch, so a walk of a later bucket, or of
+    a later slot, may step before one of an earlier bucket has finished.
+    What a slot-at-a-time, bucket-at-a-time engine would charge is therefore
+    recorded as the batch runs: the walks entering each bucket (and, with
+    ``vertices``, their vertices inside its ancillary block when that is not
+    the slot's current block, whose buckets load nothing), the pool-bound
+    exits of each (bucket, local step), and, with ``vertices``, the current
+    vertices each (bucket, local step) has in its ancillary block.
+    :meth:`replay` makes one slot's charges in bucket order, then local-step
+    order, so every float counter is summed in the order a bucket-at-a-time
+    run sums it. A walk's local step counts its steps since it entered its
+    bucket; ``width`` bounds it.
 
-    With ``vertices`` (a loader that may load on demand), the activations
-    and touches are the raw material of one first-touch pass: the vertices
-    a bucket's on-demand load pays for are the first touch of each, at its
-    activation or at the first local step that reaches it.
+    The log's first slot is ``b``, and a walk may enter any slot ``c >= b``
+    of the sweep. Keys are slot-qualified: bucket ``i`` of slot ``c`` has
+    the id ``(c - b)·N_B + i``, and its step keys start at that id times
+    ``width``, so each slot's keys fill one range of ``N_B·width`` and order
+    its charges. The log counts the entries per bucket id and the exits per
+    step key as they come. With ``vertices`` (a loader that may load on
+    demand), it keeps each activation and each touch as a (charge position,
+    vertex) mark, the raw material of one first-touch pass: the vertices a
+    bucket's on-demand load pays for are the first touch of each, at its
+    activation or at the first local step that reaches it. With
+    ``current`` (a policy that may load a slot's current block on demand,
+    first-order), it also marks the touches of each slot's own bucket and
+    keeps the current vertex of each walk entering it, what that load
+    activates (:meth:`arrivals`). Marks and arrivals are grouped by slot
+    when a slot is read, and a replayed slot's are freed.
     """
 
-    def __init__(self, b: int, block_map: np.ndarray, width: int, vertices: bool) -> None:
+    def __init__(
+        self,
+        b: int,
+        block_map: np.ndarray,
+        width: int,
+        vertices: bool,
+        n_blocks: int | None = None,
+        current: bool = True,
+    ) -> None:
         self.b = b
         self.bmap = block_map
         self.width = width
         self.vertices = vertices
+        self.current = current
+        self.n_blocks = int(block_map.max()) + 1 if n_blocks is None else n_blocks
+        self.stride = self.n_blocks * width  # the step keys of one slot
+        self.dtype = np.int32 if self.n_blocks * self.stride < 2**31 else np.int64
+        self._last = 0  # the highest slot a walk entered, less b
+        # Entries per bucket id and pool-bound exits per step key, counted
+        # from the staged ids and keys whenever a slot is read.
+        self._n_in = self._n_out = _NONE
         self._entered: list[np.ndarray] = []
-        # (charge position, vertex) of each activation and each touch: a
-        # touch at the step keyed k sits at k, and its bucket's activation at
-        # the bucket's first key - 1, a key no step takes (local steps stay
-        # below width - 1), so it sorts after every step of the bucket before.
-        self._activated: list[tuple[np.ndarray, np.ndarray]] = []
-        self._exits: list[np.ndarray] = []  # step key per pool-bound exit
-        self._touched: list[tuple[np.ndarray, np.ndarray]] = []
+        self._exits: list[np.ndarray] = []
+        # Marks and arrivals as (key, vertex) chunks, staged as they come,
+        # then grouped by slot (less b). A touch at the step keyed k sits at
+        # k, and its bucket's activation at the bucket's first key - 1, a
+        # key no step takes (local steps stay below width - 1), so it sorts
+        # after every step of the bucket before. An arrival is keyed by its
+        # bucket id.
+        self._marks: list[tuple[np.ndarray, np.ndarray]] = []
+        self._arrivals: list[tuple[np.ndarray, np.ndarray]] = []
+        self._slots: dict[int, tuple[list, list]] = {}
 
-    def enter(self, bucket: np.ndarray, walks: Walks) -> np.ndarray:
-        """``walks`` enter buckets ``bucket`` at local step 0; returns their
-        step keys. The log keeps ``bucket``, so the caller must not write
-        into it afterwards."""
-        self._entered.append(bucket)
-        key = bucket * self.width
+    def enter(
+        self, bucket: np.ndarray, walks: Walks, slot: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``walks`` enter buckets ``bucket`` of slots ``slot`` (one block
+        per walk; ``b`` when None) at local step 0; returns their step keys."""
+        if slot is None:
+            own, q = self.b, bucket.astype(self.dtype)
+        else:
+            own, off = slot, np.subtract(slot, self.b, dtype=self.dtype)
+            self._last = max(self._last, int(off.max(initial=0)))
+            q = (off * self.n_blocks + bucket).astype(self.dtype)
+        self._entered.append(q)
+        key = q * self.width
         if self.vertices:
-            ancillary = bucket != self.b
+            mine = bucket == own
+            if self.current:
+                self._arrivals.append((q[mine], walks.cur[mine]))
             for v in (walks.prev, walks.cur):
-                inside = ancillary & (self.bmap[v] == bucket)
-                self._activated.append((key[inside] - 1, v[inside]))
+                inside = ~mine & (self.bmap[v] == bucket)
+                self._marks.append((key[inside] - 1, v[inside]))
         return key
 
-    def touch(self, cur: np.ndarray, bucket: np.ndarray, key: np.ndarray) -> None:
-        """Walks of ``bucket`` about to take the step keyed ``key`` from ``cur``."""
+    def touch(
+        self,
+        cur: np.ndarray,
+        bucket: np.ndarray,
+        key: np.ndarray,
+        slot: np.ndarray | int | None = None,
+    ) -> None:
+        """Walks of ``bucket`` of slots ``slot`` (as for :meth:`enter`) about
+        to take the step keyed ``key`` from ``cur``."""
         inside = self.bmap[cur] == bucket
-        self._touched.append((key[inside], cur[inside]))
+        if not self.current:
+            inside &= bucket != (self.b if slot is None else slot)
+        self._marks.append((key[inside], cur[inside]))
 
     def exit(self, key: np.ndarray) -> None:
-        """Walks that left their bucket for a pool on the steps keyed ``key``."""
+        """Walks that left their bucket for a pool on the steps keyed
+        ``key``. The log keeps ``key``, so the caller must not write into it
+        afterwards."""
         self._exits.append(key)
 
-    def replay(self, sim: DiskSim, loader: BlockLoader) -> None:
-        """Charge slot ``b``'s buckets in ascending id: each bucket's
-        execution, its ancillary load (none for bucket ``b``), then per local
-        step with exits or ancillary vertices, ascending, the on-demand
-        fetches and the pool write, and last the close of the load."""
-        b, w = self.b, self.width
-        n_in = np.bincount(np.concatenate(self._entered))
+    def _group(self, off: int) -> tuple[list, list]:
+        """Slot ``b + off``'s (marks, arrivals), each a list of (key,
+        vertex) chunks. While no walk has entered a later slot, every record
+        is the first slot's, so nothing needs grouping."""
+        if not self._last:
+            return self._marks, self._arrivals
+        for i, chunks in enumerate((self._marks, self._arrivals)):
+            if not chunks:
+                continue
+            key, v = (np.concatenate(c) for c in zip(*chunks))
+            chunks.clear()
+            if not len(key):
+                continue
+            # + 1: an activation's position may lie just below its slot's range.
+            unit = self.stride if i == 0 else self.n_blocks
+            for o, piece in _split_by_slot((key + (i == 0)) // unit, [key, v]):
+                self._slots.setdefault(o, ([], []))[i].append(piece)
+        return self._slots.setdefault(off, ([], []))
+
+    def arrivals(self, c: int) -> np.ndarray:
+        """Current vertices of the walks that entered slot ``c``'s own
+        bucket (none without ``vertices``). Call it once every walk of the
+        slot has entered; it frees them."""
+        if not self.vertices:
+            return _NONE
+        chunks = self._group(c - self.b)[1]
+        out = np.concatenate([v for _, v in chunks]) if chunks else _NONE
+        chunks.clear()
+        return out
+
+    def replay(self, sim: DiskSim, loader: BlockLoader, slot: int | None = None) -> None:
+        """Charge slot ``slot``'s (``b`` when None) buckets in ascending id:
+        each bucket's execution, its ancillary load (none for bucket
+        ``slot``), then per local step with exits or ancillary vertices,
+        ascending, the on-demand fetches and the pool write, and last the
+        close of the load. Call it once no walk of the slot is left in the
+        batch; it frees the slot's marks."""
+        b = self.b if slot is None else slot
+        off = b - self.b
+        w, base = self.width, off * self.stride
+        self._n_in = _add_counts(self._n_in, self._entered)
+        self._n_out = _add_counts(self._n_out, self._exits)
+        n_in = _window(self._n_in, off * self.n_blocks, self.n_blocks)
         ids = np.flatnonzero(n_in)
         lo = int(ids[0]) * w  # every step key lies in [lo, (ids[-1] + 1)·w)
-        n_out = np.bincount(
-            np.concatenate([*self._exits, _NONE]) - lo, minlength=int(ids[-1]) * w + w - lo
-        )
+        n_out = _window(self._n_out, base + lo, int(ids[-1]) * w + w - lo)
         sim.bucket_execs += len(ids)
         if self.vertices:
-            self._replay_arrays(sim, loader, ids, n_in, n_out, lo)
+            marks, _ = self._group(off)
+            self._slots.pop(off, None)
+            pos, vs = (np.concatenate(c) for c in zip(*marks)) if marks else (_NONE, _NONE)
+            marks.clear()
+            self._replay_arrays(sim, loader, b, ids, n_in, n_out, lo, pos - base, vs)
             return
         # Full loads only: a short loop, cheaper than array calls for the
         # one or few buckets and exit steps most such slots have.
@@ -263,17 +369,21 @@ class SlotLog:
         self,
         sim: DiskSim,
         loader: BlockLoader,
+        b: int,
         ids: np.ndarray,
         n_in: np.ndarray,
         n_out: np.ndarray,
         lo: int,
+        pos: np.ndarray,
+        vs: np.ndarray,
     ) -> None:
-        """:meth:`replay` for a loader that may load on demand, one array
-        call per clock. Each clock is a sum of its own (only block seeks
-        carry state, chained in bucket order), so charging each clock's run
-        in order gives the counters of the bucket-by-bucket charges; the
-        ``LoadLogs`` times are read off the clocks' prefix values."""
-        b, w, store = self.b, self.width, loader.store
+        """:meth:`replay` of slot ``b`` for a loader that may load on demand,
+        one array call per clock; ``pos`` and ``vs`` are the slot's marks.
+        Each clock is a sum of its own (only block seeks carry state, chained
+        in bucket order), so charging each clock's run in order gives the
+        counters of the bucket-by-bucket charges; the ``LoadLogs`` times are
+        read off the clocks' prefix values."""
+        w, store = self.width, loader.store
         anc = ids[ids != b]  # the buckets whose ancillary block the replay loads
         eta, full = loader.full_loads(anc, n_in[anc])
         if loader.shadow is not None:  # a full-load run loads every ancillary block
@@ -286,9 +396,8 @@ class SlotLog:
         # which no bi-block activation uses, and are charged nothing.
         on_demand[b] = seeded = loader.partial
         seed = loader.fetched() if seeded else _NONE
-        entries = [*self._activated, *self._touched]
-        vs = np.concatenate([seed, *(v for _, v in entries)])
-        pos = np.concatenate([np.full(len(seed), b * w - 1), *(p for p, _ in entries)])
+        vs = np.concatenate([seed, vs])
+        pos = np.concatenate([np.full(len(seed), b * w - 1), pos])
         keep = on_demand[self.bmap[vs]]
         # The first touch of each vertex: a vertex lies in one block, so only
         # that block's bucket fetches it, at its earliest position. Positions
@@ -312,7 +421,43 @@ class SlotLog:
             t = (block_clock[nb] + od_clock[o1]) - (block_clock[nb - full] + od_clock[o0])
             modes = np.where(full, FULL, ONDEMAND)
             loader.logs.extend(anc.tolist(), eta.tolist(), t.tolist(), modes.tolist())
-        loader.finish()  # closes a load made as the slot started
+        loader.finish()  # closes a load made as the slot opened
+
+
+def _add_counts(counts: np.ndarray, chunks: list[np.ndarray]) -> np.ndarray:
+    """``counts`` (indexed by key, grown as needed) plus one per key in
+    ``chunks``, which it empties."""
+    if not chunks:
+        return counts
+    n = np.bincount(np.concatenate(chunks) if len(chunks) > 1 else chunks[0])
+    chunks.clear()
+    if len(n) > len(counts):
+        n[: len(counts)] += counts
+        return n
+    counts[: len(n)] += n
+    return counts
+
+
+def _window(counts: np.ndarray, lo: int, size: int) -> np.ndarray:
+    """``counts[lo:lo + size]``, zero past the end of ``counts``."""
+    out = np.zeros(size, dtype=np.int64)
+    got = counts[lo:lo + size]
+    out[: len(got)] = got
+    return out
+
+
+def _split_by_slot(off: np.ndarray, cols: list[np.ndarray]) -> list[tuple[int, list]]:
+    """``(slot offset, columns)`` of each offset in ``off``, ascending: one
+    stable radix sort of the offsets in their narrowest unsigned type."""
+    n = np.bincount(off)
+    ids = np.flatnonzero(n)
+    ends = np.cumsum(n[ids]).tolist()
+    order = np.argsort(off.astype(np.min_scalar_type(int(ids[-1]))), kind="stable")
+    cols = [c[order] for c in cols]
+    return [
+        (off_, [c[lo:hi] for c in cols])
+        for off_, lo, hi in zip(ids.tolist(), [0, *ends[:-1]], ends)
+    ]
 
 
 class EnginePolicy:
@@ -323,9 +468,21 @@ class EnginePolicy:
     exits pooled with their new current block. ``loader`` brings in the
     current block and each bucket's ancillary block (by default fully); the
     replay of every slot's :class:`SlotLog` drives the latter. Engines
-    override the hooks they change;
-    :func:`run_engine` calls them in a fixed order.
+    override the hooks they change; :func:`run_engine` calls them in a fixed
+    order. The hooks that see a batch get each walk's slot, the current
+    block it steps with, as ``b``: one block per walk, or one for all in a
+    sweep of one slot.
     """
+
+    #: True for a policy whose ``before_step`` charges reads as the steps
+    #: run, against state that each slot's ``load_current`` sets (SOGW's LRU
+    #: block slots): its slots must step one at a time, so its walks never
+    #: join a later slot of a sweep.
+    charges_live = False
+    #: True for a policy whose ``load_current`` may load the current block
+    #: on demand (first-order): the vertices its slots' own buckets touch are
+    #: then fetched one by one, so the slot log keeps them.
+    current_on_demand = False
 
     def __init__(
         self, store: BlockStore, sim: DiskSim, loader: BlockLoader | None = None
@@ -339,25 +496,28 @@ class EnginePolicy:
         """Pool (block id) each walk is stored in: its current block."""
         return self.bmap[walks.cur]
 
-    def load_current(self, b: int, walks: Walks) -> None:
-        """Bring current block ``b`` in for its pooled ``walks``, which may be
-        empty when the scheduler picks a walk-less block."""
+    def load_current(self, b: int, n: int, cur: np.ndarray) -> None:
+        """Bring current block ``b`` in for the ``n`` walks its slot reads
+        from its pool (none when Alphabet picks a walk-less block); ``cur``
+        holds their current vertices as they entered, given only to a
+        loader that may load on demand (:meth:`SlotLog.arrivals`)."""
         self.loader.load_whole(b)
 
-    def bucket_of(self, b: int, walks: Walks) -> np.ndarray:
-        """Bucket of each walk of slot ``b``: the ancillary block it runs
-        with (``b``: the current block alone, the default for every walk)."""
+    def bucket_of(self, b: np.ndarray | int, walks: Walks) -> np.ndarray:
+        """Bucket of each walk entering slot ``b``: the ancillary block it
+        runs with (``b``: the current block alone, the default for every
+        walk)."""
         return np.full(len(walks), b, dtype=np.int64)
 
-    def before_step(self, active: Walks, b: int, bucket: np.ndarray) -> None:
+    def before_step(self, active: Walks, b: np.ndarray | int, bucket: np.ndarray) -> None:
         """Charge the reads that make this step's vertices resident, as they
         happen; ``bucket`` holds each active walk's bucket."""
 
     def extends(
-        self, walks: Walks, curb: np.ndarray, b: int, bucket: np.ndarray
+        self, walks: Walks, curb: np.ndarray, b: np.ndarray | int, bucket: np.ndarray
     ) -> np.ndarray | bool:
         """Mask of walks that, on leaving their bucket, move on to bucket
-        ``curb`` within this slot instead of a pool (False: none do)."""
+        ``curb`` of the same slot instead of a pool (False: none do)."""
         return False
 
 
@@ -372,59 +532,117 @@ def run_engine(
 ) -> EngineResult:
     """Run ``task`` from ``starts`` to completion under ``policy``.
 
-    Each time slot pops the pool the scheduler picks, loads its block and
-    steps all of its walks in lock step. A walk leaves the batch when it
-    finishes or its current vertex leaves block ``b`` and its bucket's
-    block; a walk the policy extends is re-keyed to its new bucket instead,
-    its local step starting again at 0. At slot end the :class:`SlotLog`
-    replays the bucket-order charges. Counters go to ``policy.sim``.
+    Each sweep takes the pools the scheduler names and steps all of their
+    walks in lock step, whatever their slot: one pool, or under
+    :class:`IterationScheduler` every pool with walks, for a policy that
+    charges nothing live. A walk leaves the batch when it finishes or its
+    current vertex leaves its slot's block ``b`` and its bucket's block.
+    Two kinds of walk stay, re-keyed with their local step starting again
+    at 0: a walk the policy extends to a new bucket of its slot, and, in an
+    Iteration sweep, a walk bound for the pool of a block above ``b``,
+    which joins that block's slot instead of the pool. The others go to
+    their pools for a later sweep.
+
+    The slots are charged one by one, by ascending block, as a slot-at-a-time
+    engine charges them. Once no walk of a lower slot is left in the batch,
+    a slot's walks are all known: it charges its pool read (the walks it
+    started with and those that joined it) and its block load. Once no walk
+    of the slot itself is left, its :class:`SlotLog` replays its
+    bucket-order charges and is freed. Counters go to ``policy.sim``.
     """
-    csr, bmap, sim = store.csr, store.block_map, policy.sim
+    csr, bmap, sim, nb = store.csr, store.block_map, policy.sim, store.n_blocks
     sched = make_scheduler(sched) if isinstance(sched, str) else sched
     sched.reset()
-    pools = WalkPools(sim, store.n_blocks)
+    pools = WalkPools(sim, nb)
     draws = draw_keys(task, starts)  # one premix per walk and salt, not per draw
     _, live = split_done(task, csr, starts, draws)
     pools.add_grouped(policy.pool_of(live), live)
+    del live  # the pools own it
     width = task.max_len + 1  # local steps per bucket are < max_len
     vertices = policy.loader.mode != FULL  # an on-demand replay needs them
+    joins = isinstance(sched, IterationScheduler) and not policy.charges_live
 
     while pools.total():
-        b = sched.pick(pools)
-        if b is None:
-            break
-        active = pools.pop(b)
-        policy.load_current(b, active)
-        sim.time_slots += 1
-        if not len(active):
-            continue  # Alphabet may schedule (and pay for) an empty block
-        bucket = policy.bucket_of(b, active)
-        log = SlotLog(b, bmap, width, vertices)
-        key = log.enter(bucket, active)  # each walk's next step, keyed for the log
+        # The walks each slot reads from its pool (read only for the sweep's
+        # slots). Every slot but a walk-less one that Alphabet names reads some.
+        reads = pools.counts.copy()
+        if joins:
+            named = sched.sweep(pools)  # every pool with walks
+            if not len(named):
+                break
+            top = int(named[0])
+            active, slot = pools.take_all()  # and each walk's slot
+        else:
+            top = sched.pick(pools)
+            if top is None:
+                break
+            active, slot = pools.take(top), top  # one slot for all
+        # top: the lowest slot that may still get walks.
+        log = SlotLog(top, bmap, width, vertices, nb, policy.current_on_demand)
+        bucket = policy.bucket_of(slot, active)
+        # Each walk's next step, keyed for the log.
+        key = log.enter(bucket, active, slot if joins else None)
+
+        def open_slot(c: int) -> None:
+            sim.charge_walk_io(int(reads[c]))
+            policy.load_current(c, int(reads[c]), log.arrivals(c))
+            sim.time_slots += 1
+
+        def settle(m: int) -> None:
+            """Replay every slot below block ``m`` (none has a walk left),
+            opening those not open yet, then open slot ``m``."""
+            nonlocal top
+            later = (top + 1 + np.flatnonzero(reads[top + 1:m])).tolist() if joins else []
+            for c in [top, *later]:
+                if c != top:
+                    open_slot(c)
+                if reads[c]:
+                    log.replay(sim, policy.loader, c)
+            top = m
+            if m < nb:
+                open_slot(m)
+
+        open_slot(top)
         while len(active):
-            policy.before_step(active, b, bucket)
+            policy.before_step(active, slot, bucket)
             if vertices:
-                log.touch(active.cur, bucket, key)
+                log.touch(active.cur, bucket, key, slot)
             t0 = time.perf_counter()
             advance(csr, task, active, rec, draws)
             sim.steps += len(active)
             sim.exec_real_s += time.perf_counter() - t0
-            done, out, curb = split_step(task, csr, bmap, active, b, bucket, draws)
+            done, out, curb = split_step(task, csr, bmap, active, slot, bucket, draws)
             if out.any():
-                ext = policy.extends(active, curb, b, bucket) & out
+                ext = policy.extends(active, curb, slot, bucket) & out
                 if ext.any():
-                    # A fresh bucket array, as the log keeps the old one.
-                    bucket = np.where(ext, curb, bucket)
+                    bucket[ext] = curb[ext]
                     # - 1: this step's += 1 makes it the new bucket's step 0.
-                    key[ext] = log.enter(bucket[ext], active.select(ext)) - 1
+                    walks = active.select(ext)
+                    key[ext] = log.enter(bucket[ext], walks, slot[ext] if joins else None) - 1
                     out &= ~ext
-                leaving = active.select(out)
-                pools.put(policy.pool_of(leaving), leaving)
                 log.exit(key[out])
+                leaving = active.select(out)
+                pool = policy.pool_of(leaving)
+                if joins:
+                    up = pool > slot[out]
+                    if up.any():
+                        j, c = np.flatnonzero(out)[up], pool[up]
+                        joiners = leaving.select(up)
+                        slot[j] = c
+                        reads += np.bincount(c, minlength=nb)
+                        bucket[j] = policy.bucket_of(c, joiners)
+                        key[j] = log.enter(bucket[j], joiners, c) - 1
+                        out[j] = False
+                        leaving, pool = leaving.select(~up), pool[~up]
+                pools.put(pool, leaving)
             keep = ~(done | out)
             if not keep.all():
                 active = active.select(keep)
                 bucket, key = bucket[keep], key[keep]
+                if joins:
+                    slot = slot[keep]
             key += 1
-        log.replay(sim, policy.loader)
+            if joins and len(active) and (m := int(slot.min())) > top:
+                settle(m)
+        settle(nb)
     return EngineResult(name=name, sim=sim, recorder=rec)

@@ -11,14 +11,18 @@ method:
 * **GraSorw**: Iteration-based scheduling + learning-based block loading.
 
 A slot is one bucket, the current block ``b`` alone, brought in by the
-policy's :class:`~repro.engines.loading.BlockLoader` as the slot starts.
-The current vertices its steps touch and its exit writes are recorded in the
-slot's :class:`~repro.engines.base.SlotLog` and replayed at slot end in step
-order: loaded on demand, each vertex the load has not fetched is fetched at
-its first touch. The replay also closes the block load (its ``LoadLogs``
-entry).
+policy's :class:`~repro.engines.loading.BlockLoader` once every walk of the
+slot is known. Under Iteration-based scheduling the slots of one iteration
+step as one batch, and a walk that moves to a block above its slot's joins
+that block's slot. The current vertices a slot's steps touch and its exit
+writes are recorded in the sweep's :class:`~repro.engines.base.SlotLog` and
+replayed once the slot has no walk left, in step order: loaded on demand,
+each vertex the load has not fetched is fetched at its first touch. The
+replay also closes the block load (its ``LoadLogs`` entry).
 """
 from __future__ import annotations
+
+import numpy as np
 
 from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
@@ -32,11 +36,13 @@ from repro.walks.state import Walks
 class FirstOrderPolicy(EnginePolicy):
     """One block slot, filled by the policy's :class:`BlockLoader`."""
 
-    def load_current(self, b: int, walks: Walks) -> None:
-        if len(walks):
-            self.loader.load(b, len(walks), walks.cur)
+    current_on_demand = True
+
+    def load_current(self, b: int, n: int, cur: np.ndarray) -> None:
+        if n:
+            self.loader.load(b, n, cur)
         else:
-            super().load_current(b, walks)  # Alphabet pays for a walk-less block
+            super().load_current(b, n, cur)  # Alphabet pays for a walk-less block
 
 
 def run_first_order(

@@ -26,10 +26,9 @@ from repro.walks.state import Walks
 class PBPolicy(EnginePolicy):
     """Buckets by previous block, ancillaries fully loaded in ascending id."""
 
-    def bucket_of(self, b: int, walks: Walks) -> np.ndarray:
+    def bucket_of(self, b: np.ndarray | int, walks: Walks) -> np.ndarray:
         prev_b = self.bmap[walks.prev]
-        prev_b[prev_b < 0] = b  # hop-0 walks form the self-bucket b
-        return prev_b
+        return np.where(prev_b < 0, b, prev_b)  # hop-0 walks form the self-bucket b
 
 
 def run_plain_bucket(

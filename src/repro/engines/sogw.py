@@ -27,6 +27,8 @@ class SOGWPolicy(EnginePolicy):
     """Two LRU block slots; a light vertex I/O per step whose previous
     vertex is neither resident nor in ``static_cache``."""
 
+    charges_live = True
+
     def __init__(
         self, store: BlockStore, sim: DiskSim, task: WalkTask, static_cache: np.ndarray | None
     ) -> None:
@@ -35,10 +37,10 @@ class SOGWPolicy(EnginePolicy):
         self.second_order = not task.first_order
         self.static_cache = static_cache
 
-    def load_current(self, b: int, walks: Walks) -> None:
+    def load_current(self, b: int, n: int, cur: np.ndarray) -> None:
         self.slots.ensure(b)
 
-    def before_step(self, active: Walks, b: int, bucket: np.ndarray) -> None:
+    def before_step(self, active: Walks, b: np.ndarray | int, bucket: np.ndarray) -> None:
         if not self.second_order:
             return
         prev_b = self.bmap[active.prev]

@@ -62,12 +62,14 @@ def draw_keys(task: WalkTask, walks: Walks) -> dict[int, np.ndarray]:
     return {salt: premix(task.seed, wid, salt) for salt in salts}
 
 
-def _draw(task: WalkTask, walks: Walks, salt: int, keys: dict | None) -> np.ndarray:
-    """Each walk's uniform draw of ``salt`` at its hop: :func:`unit_hash`,
-    finished from ``keys`` (:func:`draw_keys`) when given."""
+def _draw(
+    task: WalkTask, wid: np.ndarray, hop: np.ndarray, salt: int, keys: dict | None
+) -> np.ndarray:
+    """The uniform draw of ``salt`` of each walk ``wid`` at hop ``hop``:
+    :func:`unit_hash`, finished from ``keys`` (:func:`draw_keys`) when given."""
     if keys is None:
-        return unit_hash(task.seed, walks.wid, walks.hop, salt=salt)
-    return keyed_unit(keys[salt][walks.wid], walks.hop)
+        return unit_hash(task.seed, wid, hop, salt=salt)
+    return keyed_unit(keys[salt][wid], hop)
 
 
 def done_mask(
@@ -77,13 +79,19 @@ def done_mask(
 
     Termination: hop budget exhausted, dead-end vertex, or (with restart)
     the deterministic continue draw for the upcoming step fails. The draw is
-    indexed by (wid, hop) so the decision is engine-order independent.
+    indexed by (wid, hop) so the decision is engine-order independent. A
+    walk that has not stepped yet always takes its first step, and a walk
+    already done needs no draw, so only the others are drawn for.
     """
+    hop = walks.hop
     deg = csr.indptr[walks.cur + 1] - csr.indptr[walks.cur]
-    done = (walks.hop >= task.max_len) | (deg == 0)
+    done = (hop >= task.max_len) | (deg == 0)
     if task.alpha is not None and len(walks):
-        cont = _draw(task, walks, SALT_CONT, keys) < task.alpha
-        done |= (walks.hop > 0) & ~cont
+        draw = (hop > 0) & ~done
+        if draw.all():  # every walk of a batch that has just stepped, most often
+            done = _draw(task, walks.wid, hop, SALT_CONT, keys) >= task.alpha
+        elif draw.any():
+            done[draw] = _draw(task, walks.wid[draw], hop[draw], SALT_CONT, keys) >= task.alpha
     return done
 
 
@@ -101,7 +109,7 @@ def batch_step(
     indptr, indices = csr.indptr, csr.indices
     starts = indptr[walks.cur]
     deg = indptr[walks.cur + 1] - starts
-    u = _draw(task, walks, SALT_STEP, keys)
+    u = _draw(task, walks.wid, walks.hop, SALT_STEP, keys)
 
     uniform = task.first_order or (task.p == 1.0 and task.q == 1.0)
     if uniform:

@@ -104,3 +104,55 @@ def residency_checked():
     finally:
         for cls, fn in saved.items():
             cls.before_step = fn
+
+
+@contextlib.contextmanager
+def slot_trace():
+    """Record the current block of every time slot, in the order the
+    engines load them (each outermost ``load_current`` call), and count the
+    engines' ``advance`` calls.
+
+    Yields a namespace with ``blocks`` and ``advances``; its ``sweeps()``
+    counts the ascending runs of ``blocks``, the Iteration scheduler's
+    iterations.
+    """
+    from types import SimpleNamespace
+
+    from repro.engines import base
+    from repro.engines.base import EnginePolicy
+    from repro.engines.first_order import FirstOrderPolicy
+    from repro.engines.sogw import SOGWPolicy
+
+    trace = SimpleNamespace(blocks=[], advances=0)
+    trace.sweeps = lambda: sum(1 for i, b in enumerate(trace.blocks)
+                               if i == 0 or b <= trace.blocks[i - 1])
+    depth = [0]
+
+    def wrap(load_current):
+        def traced(self, b, *args):
+            if not depth[0]:
+                trace.blocks.append(int(b))
+            depth[0] += 1
+            try:
+                return load_current(self, b, *args)
+            finally:
+                depth[0] -= 1
+
+        return traced
+
+    def counted(*args, **kwargs):
+        trace.advances += 1
+        return advance(*args, **kwargs)
+
+    classes = (EnginePolicy, FirstOrderPolicy, SOGWPolicy)
+    saved = {cls: cls.__dict__["load_current"] for cls in classes}
+    advance = base.advance
+    try:
+        for cls, fn in saved.items():
+            cls.load_current = wrap(fn)
+        base.advance = counted
+        yield trace
+    finally:
+        base.advance = advance
+        for cls, fn in saved.items():
+            cls.load_current = fn

@@ -17,7 +17,7 @@ from repro.engines.sogw import run_sogw
 from repro.walks.models import WalkTask
 from repro.walks.state import Walks
 
-from .helpers import all_vertex_starts, even_partition, random_csr
+from .helpers import all_vertex_starts, even_partition, random_csr, slot_trace
 
 
 def _store(n=100, m=400, nb=8, seed=0):
@@ -160,6 +160,21 @@ class TestLiveness:
         # time_slots counts per-current-block slots; sweeps <= max_len means
         # slots <= max_len * N_B.
         assert sim.time_slots <= max_len * store.n_blocks
+
+    def test_sweeps_step_in_lockstep(self):
+        """Appendix B bounds the sweeps by the walk length; each sweep also
+        steps as one batch, so no walk of it waits for another slot's:
+        ``advance`` runs at most ``max_len`` times per sweep."""
+        store = _store(n=100, m=380, nb=7, seed=14)
+        max_len = 11
+        task = WalkTask(max_len=max_len, seed=14)
+        with slot_trace() as trace:
+            run_bi_block(store, task, all_vertex_starts(store.csr, 2),
+                         sim=DiskSim(params=store.params))
+        sweeps = trace.sweeps()
+        assert len(trace.blocks) > sweeps  # sweeps of more than one slot
+        assert sweeps <= max_len
+        assert trace.advances <= max_len * sweeps
 
     def test_single_walk_terminates(self):
         store = _store(n=60, m=200, nb=4, seed=15)

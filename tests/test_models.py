@@ -3,6 +3,8 @@
 termination rules, and statistical agreement with the exact distribution."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.walks.models import (
     Recorder,
@@ -222,3 +224,69 @@ class TestAdvanceAndRecorder:
         w = Walks.from_sources(np.array([0]), np.array([1]))
         rec.on_start(w)  # must not crash
         rec.on_step(w)
+
+
+def _done_rule(task, csr, walks, keys=None):
+    """The termination rule drawing every walk's continue uniform, then
+    masking it with ``hop > 0``: the reference for :func:`done_mask`."""
+    from repro.rng import keyed_unit, unit_hash
+    from repro.walks.models import SALT_CONT
+
+    deg = csr.indptr[walks.cur + 1] - csr.indptr[walks.cur]
+    done = (walks.hop >= task.max_len) | (deg == 0)
+    if task.alpha is not None and len(walks):
+        if keys is None:
+            u = unit_hash(task.seed, walks.wid, walks.hop, salt=SALT_CONT)
+        else:
+            u = keyed_unit(keys[SALT_CONT][walks.wid], walks.hop)
+        done |= (walks.hop > 0) & ~(u < task.alpha)
+    return done
+
+
+class TestDoneMaskDraws:
+    """``done_mask`` draws the continue uniform only for walks that have
+    stepped and are not already done, with the decisions of drawing all."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hops=st.lists(st.integers(0, 6), min_size=0, max_size=40),
+        alpha=st.floats(0.0, 1.0),
+        max_len=st.integers(1, 6),
+        seed=st.integers(0, 2**20),
+        keyed=st.booleans(),
+    )
+    def test_matches_drawing_every_walk(self, hops, alpha, max_len, seed, keyed):
+        from repro.graphs.csr import csr_from_arrays
+        from repro.walks.models import draw_keys
+
+        # Vertices 0-1-2 joined, vertex 3 isolated: a dead end to start from.
+        csr = csr_from_arrays(4, np.array([0, 1, 1, 2]), np.array([1, 0, 2, 1]))
+        n = len(hops)
+        walks = Walks(wid=np.arange(n), src=np.zeros(n, dtype=np.int64),
+                      prev=np.where(np.array(hops, dtype=np.int64) > 0, 1, -1),
+                      cur=np.arange(n) % 4, hop=np.array(hops, dtype=np.int64))
+        task = WalkTask(max_len=max_len, alpha=alpha, seed=seed)
+        keys = draw_keys(task, walks) if keyed else None
+        got = done_mask(task, csr, walks, keys)
+        assert np.array_equal(got, _done_rule(task, csr, walks, keys))
+
+    def test_draws_only_for_stepped_live_walks(self, monkeypatch):
+        import repro.walks.models as models
+
+        drawn: list[int] = []
+        real = models.unit_hash
+
+        def counted(seed, wid, hop, salt=0):
+            drawn.append(len(np.atleast_1d(wid)))
+            return real(seed, wid, hop, salt=salt)
+
+        monkeypatch.setattr(models, "unit_hash", counted)
+        csr = path_graph_csr(10)
+        task = WalkTask(max_len=3, alpha=0.5, seed=1)
+        starts = Walks.from_sources(np.arange(8), np.arange(8))
+        assert not done_mask(task, csr, starts).any()
+        assert drawn == []  # a first step needs no draw
+        w = _walks_at(np.arange(6), np.arange(1, 7), hop=2)
+        w.hop = np.array([0, 1, 2, 3, 3, 2])  # two at the hop budget, one yet to step
+        done_mask(task, csr, w)
+        assert drawn == [3]
