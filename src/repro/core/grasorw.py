@@ -17,17 +17,10 @@ from pyspark.sql import DataFrame
 
 from repro.disk.iosim import DiskSim, IOParams
 from repro.disk.store import BlockStore
-from repro.engines.base import EngineResult
-from repro.engines.bi_block import run_bi_block
-from repro.engines.first_order import run_first_order
-from repro.engines.loading import (
-    FULL,
-    LEARNED,
-    ONDEMAND,
-    FullLoadShadow,
-    LearnedLoadModel,
-    LoadLogs,
-)
+from repro.engines.base import EngineResult, walk_sweeps
+from repro.engines.bi_block import BiBlockPolicy, run_bi_block
+from repro.engines.first_order import FirstOrderPolicy, run_first_order
+from repro.engines.loading import FULL, LEARNED, ONDEMAND, BlockLoader, LearnedLoadModel, LoadLogs
 from repro.engines.plain_bucket import run_plain_bucket
 from repro.engines.sgsc import run_sgsc
 from repro.engines.sogw import run_sogw
@@ -153,14 +146,19 @@ class GraphSystem:
         self, task: WalkTask, starts: Walks, *, first_order: bool = False
     ) -> tuple[LearnedLoadModel, LoadLogs]:
         """§5.2.2: fit the model to the records of a forced full-load run
-        followed by those of a forced on-demand run. The mode moves no walk,
-        so one on-demand walk pass makes both: its :class:`FullLoadShadow`
-        keeps the full-load accounting."""
-        shadow, logs = FullLoadShadow(self.new_sim()), LoadLogs()
-        kw = dict(sim=self.new_sim(), loading=ONDEMAND, load_logs=logs, shadow=shadow)
-        if first_order:
-            run_first_order(self.store, task, starts, scheduler="iteration", **kw)
-        else:
-            run_bi_block(self.store, task, starts, **kw)
-        shadow.logs.extend(logs.bid, logs.eta, logs.t, logs.mode)
-        return LearnedLoadModel.fit(shadow.logs, self.store.n_blocks), shadow.logs
+        followed by those of a forced on-demand run, under Iteration-based
+        scheduling. The mode moves no walk, and such a run is charged from
+        the records of one hop-synchronous pass, so one pass makes both: its
+        records are charged once through each forced loader."""
+        cls = FirstOrderPolicy if first_order else BiBlockPolicy
+        logs = {FULL: LoadLogs(), ONDEMAND: LoadLogs()}
+        policies = []
+        for mode, log in logs.items():
+            sim = self.new_sim()
+            policies.append(cls(self.store, sim, BlockLoader(self.store, sim, mode=mode, logs=log)))
+        records = walk_sweeps(self.store, task, starts, policies[1], None)  # keeps the marks
+        for policy in policies:
+            records.charge(policy)
+        full, od = logs.values()
+        full.extend(od.bid, od.eta, od.t, od.mode)
+        return LearnedLoadModel.fit(full, self.store.n_blocks), full

@@ -10,23 +10,24 @@ paper's initialization stage, executed in-line); every bucket key ``i`` is
 storage (walks with min-block ``b`` are exactly those whose "other" block
 has a larger id).
 
-All buckets of all the slots of a sweep step together as one batch, as the
-paper's executing stage keeps many walks in flight; each walk moves while
-both its vertices stay inside ``{b, i}`` for its own slot ``b`` and bucket
-``i``. On exit, walks are re-associated per Algorithm 2, including the
-*bucket-extending* case: a walk whose previous vertex is in ``b`` and whose
-current block is a later ancillary is re-keyed in place to that bucket and
-keeps moving within the same slot. A walk that Algorithm 2 sends to the
-pool of a block above ``b`` joins that block's slot in the running batch,
-where the iteration would pick it up later; the others wait in their pools
-for the next sweep.
+Under Iteration-based scheduling the walks are not run slot by slot: one
+hop-synchronous pass (:func:`~repro.engines.base.walk_sweeps`) steps every
+live walk, and each walk's slot and bucket follow from its own blocks. A
+walk moves while both its vertices stay inside ``{b, i}`` for its slot
+``b`` and bucket ``i``. On exit it is re-associated per Algorithm 2,
+including the *bucket-extending* case: a walk whose previous vertex is in
+``b`` and whose current block is a later ancillary moves on to that bucket
+of the same slot. Every other walk goes to its skewed pool, whose slot the
+iteration takes later in the same sweep if that block is above ``b`` and in
+the next sweep otherwise.
 
 Ancillary blocks are loaded through a :class:`~repro.engines.loading.BlockLoader`
-(full / on-demand / learned), which is where the §5 model plugs in. Their
-loads, on-demand fetches and exit writes are recorded while the batch runs
-and replayed slot by ascending slot, in ascending bucket order
-(:class:`~repro.engines.base.SlotLog`), so the counters are those of a
-slot-at-a-time, bucket-at-a-time run.
+(full / on-demand / learned), which is where the §5 model plugs in. The
+pass records each slot's bucket entries, exits and on-demand touches, and
+the charges are made from those records slot by slot, in ascending bucket
+order (:func:`~repro.engines.base.replay_slot`), so the counters are those
+of a slot-at-a-time, bucket-at-a-time run; ``tests/sequential_oracle.py``
+stays the executable spec of that block-by-block execution.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ import numpy as np
 from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
 from repro.engines.base import EngineResult, EnginePolicy, make_recorder, run_engine
-from repro.engines.loading import FULL, BlockLoader, FullLoadShadow, LearnedLoadModel, LoadLogs
+from repro.engines.loading import FULL, BlockLoader, LearnedLoadModel, LoadLogs
 from repro.engines.scheduling import IterationScheduler
 from repro.walks.buckets import collect_buckets
 from repro.walks.models import WalkTask
@@ -43,24 +44,19 @@ from repro.walks.state import Walks, skewed_block_of
 
 
 class BiBlockPolicy(EnginePolicy):
-    """Skewed storage, Eq. 4 buckets in triangular order, bucket extension,
-    and ancillary blocks through a :class:`BlockLoader`."""
+    """Skewed storage and Eq. 4 buckets in triangular order, ancillary
+    blocks through a :class:`BlockLoader`. A walk whose skewed pool is its
+    own slot has its previous vertex there, and moves on to bucket
+    ``B(cur)`` if that runs later in the slot: Algorithm 2's extension."""
 
-    def pool_of(self, walks: Walks) -> np.ndarray:
+    def pool_of(self, prevb: np.ndarray, curb: np.ndarray) -> np.ndarray:
         """Skewed storage rule (§4.3.1). For a walk leaving bucket ``i`` it
         gives Algorithm 2's pool: cur < b → pool[cur]; b < cur < i →
         pool[b] if prev∈b, else pool[cur]; cur > i (prev∈i) → pool[i]."""
-        return skewed_block_of(self.bmap[walks.prev], self.bmap[walks.cur])
+        return skewed_block_of(prevb, curb)
 
-    def bucket_of(self, b: np.ndarray | int, walks: Walks) -> np.ndarray:
-        return collect_buckets(self.bmap[walks.prev], self.bmap[walks.cur], b)
-
-    def extends(
-        self, walks: Walks, curb: np.ndarray, b: np.ndarray | int, bucket: np.ndarray
-    ) -> np.ndarray:
-        """Algorithm 2, line 14: previous vertex in ``b``, current block
-        above the bucket's ancillary."""
-        return (curb > bucket) & (self.bmap[walks.prev] == b)
+    def bucket_of(self, b: np.ndarray | int, prevb: np.ndarray, curb: np.ndarray) -> np.ndarray:
+        return collect_buckets(prevb, curb, b)
 
 
 def run_bi_block(
@@ -72,19 +68,15 @@ def run_bi_block(
     loading: str = FULL,
     load_model: LearnedLoadModel | None = None,
     load_logs: LoadLogs | None = None,
-    shadow: FullLoadShadow | None = None,
     record_paths: bool = False,
     record_visits: bool = False,
     name: str = "Bi-Block",
 ) -> EngineResult:
     """Run the bi-block engine to completion. ``loading`` selects the
-    ancillary block loading method: "full", "ondemand" or "learned";
-    ``shadow`` (on demand only) also keeps the full-load accounting."""
+    ancillary block loading method: "full", "ondemand" or "learned"."""
     sim = sim or DiskSim(params=store.params)
     rec = make_recorder(store.csr, task, starts, record_paths, record_visits)
-    loader = BlockLoader(
-        store, sim, mode=loading, model=load_model, logs=load_logs, shadow=shadow
-    )
+    loader = BlockLoader(store, sim, mode=loading, model=load_model, logs=load_logs)
     policy = BiBlockPolicy(store, sim, loader)
     return run_engine(store, task, starts, IterationScheduler(), policy, rec, name)
 

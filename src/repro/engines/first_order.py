@@ -11,14 +11,18 @@ method:
 * **GraSorw**: Iteration-based scheduling + learning-based block loading.
 
 A slot is one bucket, the current block ``b`` alone, brought in by the
-policy's :class:`~repro.engines.loading.BlockLoader` once every walk of the
-slot is known. Under Iteration-based scheduling the slots of one iteration
-step as one batch, and a walk that moves to a block above its slot's joins
-that block's slot. The current vertices a slot's steps touch and its exit
-writes are recorded in the sweep's :class:`~repro.engines.base.SlotLog` and
-replayed once the slot has no walk left, in step order: loaded on demand,
-each vertex the load has not fetched is fetched at its first touch. The
-replay also closes the block load (its ``LoadLogs`` entry).
+policy's :class:`~repro.engines.loading.BlockLoader` as the slot is
+charged. Under Iteration-based scheduling the walks run as one
+hop-synchronous pass (:func:`~repro.engines.base.walk_sweeps`): a walk
+that moves to a block above its slot's joins that block's slot in the same
+sweep, and one that moves down waits for the next. Under the other
+schedulers the engine runs one slot at a time. Either way, the current
+vertices a slot's steps touch and its exit writes are recorded and charged
+once the slot's walks are known, in step order: loaded on demand, each
+vertex the load has not fetched is fetched at its first touch. The charge
+also closes the block load (its ``LoadLogs`` entry). The counters are
+those of the slot-at-a-time run of ``tests/sequential_oracle.py``, the
+executable spec of block-by-block execution.
 """
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ import numpy as np
 from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
 from repro.engines.base import EnginePolicy, EngineResult, make_recorder, run_engine
-from repro.engines.loading import FULL, BlockLoader, FullLoadShadow, LearnedLoadModel, LoadLogs
+from repro.engines.loading import FULL, BlockLoader, LearnedLoadModel, LoadLogs
 from repro.engines.scheduling import Scheduler
 from repro.walks.models import WalkTask
 from repro.walks.state import Walks
@@ -55,19 +59,16 @@ def run_first_order(
     loading: str = FULL,
     load_model: LearnedLoadModel | None = None,
     load_logs: LoadLogs | None = None,
-    shadow: FullLoadShadow | None = None,
     record_paths: bool = False,
     record_visits: bool = False,
     name: str = "GraphWalker",
 ) -> EngineResult:
-    """Run the first-order engine to completion; ``loading`` and ``shadow``
-    as for :func:`~repro.engines.bi_block.run_bi_block`."""
+    """Run the first-order engine to completion; ``loading`` as for
+    :func:`~repro.engines.bi_block.run_bi_block`."""
     if not task.first_order:
         raise ValueError("run_first_order requires a first-order task")
     sim = sim or DiskSim(params=store.params)
     rec = make_recorder(store.csr, task, starts, record_paths, record_visits)
-    loader = BlockLoader(
-        store, sim, mode=loading, model=load_model, logs=load_logs, shadow=shadow
-    )
+    loader = BlockLoader(store, sim, mode=loading, model=load_model, logs=load_logs)
     policy = FirstOrderPolicy(store, sim, loader)
     return run_engine(store, task, starts, scheduler, policy, rec, name)

@@ -12,21 +12,21 @@ Two ways to bring a block into memory:
 
 A :class:`BlockLoader` makes the loads that happen as a slot starts (every
 slot's current block). The ancillary loads of a slot whose blocks may load
-on demand are charged at slot end by
-:meth:`~repro.engines.base.SlotLog.replay`, from the slot's arrays: the
-loader picks every bucket's mode at once (:meth:`BlockLoader.full_loads`),
-and one first-touch pass over the slot's activations and touches gives
-every fetch.
+on demand are charged from the slot's records by
+:func:`~repro.engines.base.replay_slot`: the loader picks every bucket's
+mode at once (:meth:`BlockLoader.full_loads`), and one first-touch pass
+over the slot's activations and touches gives every fetch.
 
 The learning-based model (§5.2) fits, per block, ``t_f = α_f·η + b_f`` for
 full load and ``t_o = α_o·η + b_o`` for on-demand load, where
 ``η = |W|/N_v``, and selects the mode with the lower predicted cost —
 equivalently full load when ``η > η₀ = (b_f − b_o)/(α_o − α_f)``. The
 paper trains on two runs of the task, one per forced mode. The loading
-mode changes only what is charged, not where the walks go, so training here
-walks once, forced on demand, and a :class:`FullLoadShadow` keeps the
-second accounting: the block clock and the ``FULL`` records the forced
-full-load run would have.
+mode changes only what is charged, not where the walks go, and Iteration
+engines are charged from the records of one hop-synchronous pass, so
+training walks once and charges those records twice, through a forced
+full-load loader and a forced on-demand one
+(:meth:`~repro.core.grasorw.GraphSystem.train_load_model`).
 
 One refinement over the paper: §5.2.1 forces ``b_o = 0`` ("no separated
 loading is needed when W = ∅"). That holds at W = 0, but on low-edge-cut
@@ -146,22 +146,6 @@ class LearnedLoadModel:
         return FULL if self.prefers_full(bid, eta) else ONDEMAND
 
 
-@dataclass
-class FullLoadShadow:
-    """The forced full-load run's block clock and ``FULL`` load records,
-    kept by a forced on-demand run of the same walks.
-
-    A forced full-load run logs each load's ``t`` off its block clock alone
-    (its on-demand clock stays 0.0). That clock depends on every block load
-    and its order (a load's seek follows the one before), so ``sim`` gets
-    them all: each slot's current block, and each bucket's block as the
-    full-load run would load it.
-    """
-
-    sim: DiskSim
-    logs: LoadLogs = field(default_factory=LoadLogs)
-
-
 class BlockLoader:
     """Chooses a loading method and makes loads against the store + I/O
     simulator.
@@ -171,8 +155,6 @@ class BlockLoader:
     activated vertices, and the slot's replay fetches each vertex its steps
     touch later once (:meth:`fetched` gives it the vertices already
     fetched) — the paper's "get its CSR segmentation solely from disk".
-    A forced on-demand loader may keep a :class:`FullLoadShadow`, charged
-    with a full load wherever it loads on demand.
     """
 
     def __init__(
@@ -183,18 +165,14 @@ class BlockLoader:
         mode: str = FULL,
         model: LearnedLoadModel | None = None,
         logs: LoadLogs | None = None,
-        shadow: FullLoadShadow | None = None,
     ) -> None:
         if mode == LEARNED and model is None:
             raise ValueError("learned mode requires a fitted LearnedLoadModel")
-        if shadow is not None and mode != ONDEMAND:
-            raise ValueError("a full-load shadow requires the forced on-demand mode")
         self.store = store
         self.sim = sim
         self.mode = mode
         self.model = model
         self.logs = logs
-        self.shadow = shadow
         nv = np.diff(store.part.block_starts)
         self._eta_div = np.maximum(nv, 1)  # η = walks / vertices of the block
         self._bid: int | None = None
@@ -207,18 +185,7 @@ class BlockLoader:
     def load_whole(self, bid: int) -> None:
         """Fully load block ``bid`` whatever the loading method: a
         bi-block or PB slot's current block, or a walk-less one."""
-        nbytes = self.store.block_bytes(bid)
-        self.sim.charge_block_load(bid, nbytes)
-        if self.shadow is not None:
-            self.shadow.sim.charge_block_load(bid, nbytes)
-
-    def shadow_loads(self, bids: np.ndarray, eta: np.ndarray) -> None:
-        """Charge the shadow a full load of each of ``bids`` in turn, and log
-        each at its ``eta`` with the time read off the shadow's block clock."""
-        clock = self.shadow.sim.charge_block_loads(bids, self.store.block_bytes_of(bids))
-        self.shadow.logs.extend(
-            bids.tolist(), eta.tolist(), np.diff(clock).tolist(), [FULL] * len(bids)
-        )
+        self.sim.charge_block_load(bid, self.store.block_bytes(bid))
 
     def load(self, bid: int, walks_count: int, activated: np.ndarray) -> str:
         """Load block ``bid`` for a bucket of ``walks_count`` walks whose
@@ -239,8 +206,6 @@ class BlockLoader:
             self.sim.charge_block_load(bid, self.store.block_bytes(bid))
             self._loaded = None
         elif chosen == ONDEMAND:
-            if self.shadow is not None:
-                self.shadow_loads(np.array([bid]), np.array([eta]))
             self._loaded = np.zeros(hi - lo, dtype=bool)
             self.ensure(activated)
         else:

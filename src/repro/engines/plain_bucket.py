@@ -8,8 +8,9 @@ starting from 0 — which makes most ancillary loads random, not sequential.
 Two block slots (current + ancillary) are kept in memory, so like the
 bi-block engine it performs no light vertex I/Os; the difference Table 3
 measures is purely scheduling: roughly twice the block I/Os and random
-rather than sequential ancillary loads. As in the bi-block engine, a slot's
-buckets step as one batch and are charged in ascending id at slot end.
+rather than sequential ancillary loads. A slot's buckets step together and
+are charged in ascending id; under Iteration-based scheduling the walks run
+as one hop-synchronous pass (:func:`~repro.engines.base.walk_sweeps`).
 """
 from __future__ import annotations
 
@@ -26,9 +27,8 @@ from repro.walks.state import Walks
 class PBPolicy(EnginePolicy):
     """Buckets by previous block, ancillaries fully loaded in ascending id."""
 
-    def bucket_of(self, b: np.ndarray | int, walks: Walks) -> np.ndarray:
-        prev_b = self.bmap[walks.prev]
-        return np.where(prev_b < 0, b, prev_b)  # hop-0 walks form the self-bucket b
+    def bucket_of(self, b: np.ndarray | int, prevb: np.ndarray, curb: np.ndarray) -> np.ndarray:
+        return np.where(prevb < 0, b, prevb)  # hop-0 walks form the self-bucket b
 
 
 def run_plain_bucket(

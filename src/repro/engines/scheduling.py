@@ -64,8 +64,7 @@ class IterationScheduler(Scheduler):
     """Cycle 0..N_B-1, skipping blocks with no pooled walks.
 
     One cycle is the paper's iteration: a sweep of the current blocks in
-    ascending order. :meth:`sweep` names a whole iteration at once, for an
-    engine that steps it as one batch.
+    ascending order.
     """
 
     def __init__(self) -> None:
@@ -84,21 +83,6 @@ class IterationScheduler(Scheduler):
                 self._next = (b + 1) % n
                 return b
         return None
-
-    def sweep(self, pools: WalkPools) -> np.ndarray:
-        """The blocks one iteration starts with, ascending: the block
-        :meth:`pick` picks and every block above it with pooled walks (empty
-        when no walks remain). The engine steps them as one batch, and a walk
-        bound for the pool of a block above its own slot's joins that
-        block's slot in the same iteration. So when the sweep ends, no pool
-        above its last block holds a walk: the next pick wraps, and starts
-        over from block 0. Every sweep thus starts at the lowest block with
-        walks, and names every pool that has any."""
-        b = self.pick(pools)
-        if b is None:
-            return np.empty(0, dtype=np.int64)
-        self._next = 0
-        return b + np.flatnonzero(pools.counts[b:])
 
 
 class MinHeightScheduler(Scheduler):

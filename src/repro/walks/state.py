@@ -164,22 +164,6 @@ class WalkGroups:
         self._flush()
         return self._groups.pop(key, [])
 
-    def pop_all(self) -> tuple[Walks, np.ndarray]:
-        """Remove every walk: one fresh table, grouped by key ascending (add
-        order within a key), and each walk's key. Walks staged since the
-        last read are grouped straight into it, with one gather."""
-        # Walks grouped by an earlier read were added before the staged ones.
-        grouped = [(k, w) for k, chunks in self._groups.items() for w in chunks]
-        keys = [np.full(len(w), k) for k, w in grouped] + self._staged_keys
-        tables = [w for _, w in grouped] + self._staged
-        self._groups, self._staged_keys, self._staged = {}, [], []
-        if not tables:
-            return Walks.empty(), np.empty(0, dtype=np.int64)
-        key = np.concatenate(keys)
-        walks = tables[0] if len(tables) == 1 else Walks.concat(tables)
-        order = np.argsort(key, kind="stable")
-        return walks.select(order), key[order]
-
     def get(self, key: int) -> list[Walks]:
         self._flush()
         return self._groups.get(key, [])

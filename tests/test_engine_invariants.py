@@ -7,10 +7,12 @@ SOGW/SGSC vertex-I/O accounting.
 """
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
-from repro.engines.bi_block import run_bi_block
+from repro.engines.base import walk_sweeps
+from repro.engines.bi_block import BiBlockPolicy, run_bi_block
 from repro.engines.plain_bucket import run_plain_bucket
 from repro.engines.sgsc import build_static_cache, run_sgsc
 from repro.engines.sogw import run_sogw
@@ -18,6 +20,7 @@ from repro.walks.models import WalkTask
 from repro.walks.state import Walks
 
 from .helpers import all_vertex_starts, even_partition, random_csr, slot_trace
+from .test_slot_lockstep import _graph, _task, cases
 
 
 def _store(n=100, m=400, nb=8, seed=0):
@@ -82,6 +85,31 @@ class TestBlockIOs:
         run_bi_block(store, task, all_vertex_starts(store.csr, 2), sim=sim)
         nb = store.n_blocks
         assert sim.block_io_num <= (nb + 2) * (nb - 1) // 2 + 1
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(cases)
+    def test_eq3_bound_per_sweep(self, case):
+        """Eq. 3 in every full-load sweep of the bi-block pass, on one-block,
+        singleton, even and hub partitions: slot ``c`` loads its block and
+        at most the ancillaries above it, so a sweep loads at most
+        (N_B+2)(N_B-1)/2 + 1 blocks. Counted per sweep from the pass's
+        records, whose loads add up to the run's block I/Os."""
+        store = _graph(case["kind"], case["n"], case["density"], case["n_blocks"],
+                       case["graph_seed"])
+        task, starts = _task(case["task"], store.csr, case["walk_seed"], case["max_len"])
+        sim = DiskSim(params=store.params)
+        policy = BiBlockPolicy(store, sim)
+        log = walk_sweeps(store, task, starts, policy, None)
+        log.charge(policy)
+        nb, slots = store.n_blocks, len(log.reads)
+        entered = np.zeros(slots * nb, dtype=np.int64)
+        entered[: len(log.n_in)] = log.n_in
+        entered = entered.reshape(slots, nb) > 0  # per slot id, per bucket
+        own = entered[np.arange(slots), np.arange(slots) % nb]
+        loads = np.where(log.reads > 0, 1 + entered.sum(axis=1) - own, 0)
+        assert loads.sum() == sim.block_io_num
+        per_sweep = np.bincount(np.arange(slots) // nb, weights=loads)
+        assert (per_sweep <= (nb + 2) * (nb - 1) // 2 + 1).all()
 
     def test_bi_block_loads_are_mostly_sequential(self):
         """Triangular scheduling turns ancillary loads sequential, so the
@@ -162,8 +190,8 @@ class TestLiveness:
         assert sim.time_slots <= max_len * store.n_blocks
 
     def test_sweeps_step_in_lockstep(self):
-        """Appendix B bounds the sweeps by the walk length; each sweep also
-        steps as one batch, so no walk of it waits for another slot's:
+        """Appendix B bounds the sweeps by the walk length; the walks of
+        every sweep also step together, as one hop-synchronous pass, so
         ``advance`` runs at most ``max_len`` times per sweep."""
         store = _store(n=100, m=380, nb=7, seed=14)
         max_len = 11

@@ -4,16 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.grasorw import GraphSystem
 from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
 from repro.engines.bi_block import run_bi_block
-from repro.engines.first_order import run_first_order
 from repro.engines.loading import (
     FULL,
-    LEARNED,
     ONDEMAND,
     BlockLoader,
-    FullLoadShadow,
     LearnedLoadModel,
     LoadLogs,
     fit_line,
@@ -172,49 +170,61 @@ class TestBlockLoader:
 
 
 class TestFullLoadShadow:
-    """A forced on-demand run's shadow gets the block clock and the load
-    records of the forced full-load run of the same walks."""
+    """The full-load shadow of one-pass training: its walk pass charged
+    through a forced full-load loader gives the block clock and the load
+    records of a forced full-load run. That rests on the loading mode
+    moving no walk, which holds under every scheduler."""
 
-    def _check(self, store, cache, run):
-        full_logs, od_logs = LoadLogs(), LoadLogs()
-        full = DiskSim(params=store.params, cache=cache)
-        run(sim=full, loading=FULL, load_logs=full_logs)
-        shadow = FullLoadShadow(DiskSim(params=store.params, cache=cache))
-        od = DiskSim(params=store.params, cache=cache)
-        run(sim=od, loading=ONDEMAND, load_logs=od_logs, shadow=shadow)
-        assert len(full_logs.bid) > 0
-        assert shadow.logs == full_logs  # bid, eta, t and mode, each ==
-        assert shadow.sim.block_io_num == full.block_io_num
-        assert shadow.sim.block_io_s == full.block_io_s
-        assert od.ondemand_io_num > 0  # the walked run did load on demand
-        return full
+    def _check(self, system, task, starts, first_order, monkeypatch):
+        engine = "GraSorw-FO" if first_order else "GraSorw"
+        full_logs = LoadLogs()
+        full = system.run(engine, task, starts, loading=FULL, load_logs=full_logs).sim
+        sims = []
+        new_sim = system.new_sim
+        monkeypatch.setattr(system, "new_sim", lambda: sims.append(new_sim()) or sims[-1])
+        _, logs = system.train_load_model(task, starts, first_order=first_order)
+        n = len(full_logs.bid)
+        assert n > 0 and set(logs.mode[n:]) == {ONDEMAND}
+        # bid, eta, t and mode of the full-load records, each ==
+        assert LoadLogs(logs.bid[:n], logs.eta[:n], logs.t[:n], logs.mode[:n]) == full_logs
+        # One charge loaded on demand; the other kept the full-load block clock.
+        assert [(s.block_io_num, s.block_io_s) for s in sims if not s.ondemand_io_num] == [
+            (full.block_io_num, full.block_io_s)]
+        assert len(sims) == 2
 
     @pytest.mark.parametrize("cache", ["none", "all"])
     @pytest.mark.parametrize("task", [WalkTask(max_len=10, seed=5),
                                       WalkTask(max_len=12, alpha=0.85, p=2.0, q=0.5, seed=6)])
-    def test_bi_block(self, cache, task):
+    def test_bi_block(self, cache, task, monkeypatch):
         store = _store(n=150, m=600, nb=6, seed=5)
         starts = all_vertex_starts(store.csr, 1)
-        self._check(store, cache, lambda **kw: run_bi_block(store, task, starts, **kw))
+        self._check(GraphSystem(store=store, cache=cache), task, starts, False, monkeypatch)
 
     @pytest.mark.parametrize("cache", ["none", "all"])
     @pytest.mark.parametrize("scheduler", sorted(SCHEDULERS))
-    def test_first_order(self, cache, scheduler):
+    def test_first_order(self, cache, scheduler, monkeypatch):
+        """Under ``scheduler`` a forced on-demand run takes the slots,
+        buckets, steps and pool I/O of a forced full-load one, and loads the
+        same blocks at the same η; training (Iteration) is checked too."""
         store = _store(n=150, m=600, nb=6, seed=7)
         task = WalkTask(max_len=10, first_order=True, seed=7)
         starts = all_vertex_starts(store.csr, 1)
-        full = self._check(store, cache, lambda **kw: run_first_order(
-            store, task, starts, scheduler=scheduler, **kw))
+        system = GraphSystem(store=store, cache=cache)
+        runs = []
+        for mode in (FULL, ONDEMAND):
+            logs = LoadLogs()
+            sim = system.run("GraSorw-FO", task, starts, scheduler=scheduler, loading=mode,
+                             load_logs=logs).sim
+            runs.append((sim, logs))
+        (full, full_logs), (od, od_logs) = runs
+        for f in ("time_slots", "bucket_execs", "steps", "walk_io_bytes", "walk_io_s"):
+            assert getattr(full, f) == getattr(od, f), f
+        assert (full_logs.bid, full_logs.eta) == (od_logs.bid, od_logs.eta)
+        assert od.ondemand_io_num > 0  # the walked run did load on demand
         if scheduler == "alphabet":  # some slots loaded a walk-less block
             assert full.time_slots > full.bucket_execs
-
-    @pytest.mark.parametrize("mode", [FULL, LEARNED])
-    def test_requires_forced_ondemand(self, mode):
-        store = _store()
-        model = LearnedLoadModel(np.zeros((store.n_blocks, 4)))
-        with pytest.raises(ValueError):
-            BlockLoader(store, DiskSim(), mode=mode, model=model,
-                        shadow=FullLoadShadow(DiskSim()))
+        if scheduler == "iteration":
+            self._check(system, task, starts, True, monkeypatch)
 
 
 class TestEndToEndLBL:

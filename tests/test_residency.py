@@ -4,7 +4,8 @@ The engines sample from the global in-memory CSR, so trajectory parity
 alone cannot show that a schedule kept each walk inside its resident
 blocks. :func:`tests.helpers.residency_checked` asserts it before every
 step; the mutation test below shows that the check catches a broken bucket
-extension rule whose trajectories stay bit-identical.
+extension rule on the hop-synchronous pass whose trajectories stay
+bit-identical.
 """
 from __future__ import annotations
 
@@ -13,12 +14,9 @@ import pytest
 
 from repro.core.grasorw import GraphSystem
 from repro.core.tasks import PRNVConfig
-from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
-from repro.engines.base import make_recorder, run_engine
-from repro.engines.bi_block import BiBlockPolicy
-from repro.engines.loading import FULL, BlockLoader
-from repro.engines.scheduling import IterationScheduler
+from repro.engines.base import route
+from repro.engines.bi_block import run_bi_block
 from repro.graphs.partition import Partition
 from repro.walks.models import WalkTask
 from repro.walks.reference import reference_walk
@@ -60,29 +58,24 @@ def test_every_engine_step_is_resident(graph, task):
         assert sum(seen) == res.sim.steps > 0, engine  # every step was checked
 
 
-class _ExtendsFromAncillary(BiBlockPolicy):
-    """Wrong Algorithm 2 line 14: extends walks whose previous vertex is
-    *not* in the current block, so their next bucket lacks that block."""
-
-    def extends(self, walks, curb, b, bucket):
-        return (curb > bucket) & (self.bmap[walks.prev] != b)
-
-
-def _run_mutant(store, task, starts):
-    sim = DiskSim(params=store.params)
-    rec = make_recorder(store.csr, task, starts, record_paths=True)
-    policy = _ExtendsFromAncillary(store, sim, BlockLoader(store, sim, mode=FULL))
-    return run_engine(store, task, starts, IterationScheduler(), policy, rec, "mutant")
+def _extends_from_ancillary(policy, prevb, curb, slot, bucket):
+    """Wrong Algorithm 2 line 14 for ``base.route``: extends walks whose
+    previous vertex is *not* in the current block, so their next bucket
+    lacks that block."""
+    pool, nxt, _ = route(policy, prevb, curb, slot, bucket)
+    ext = (curb > bucket) & (prevb != slot)
+    return pool, np.where(ext, curb, nxt), ext
 
 
-def test_wrong_extension_rule_trips_the_check():
+def test_wrong_extension_rule_trips_the_check(monkeypatch):
     csr = random_csr(80, 300, seed=1)
     store = BlockStore(csr, even_partition(csr.n, 6))
     task = WalkTask(max_len=12, p=0.5, q=2.0, seed=5)
     starts = all_vertex_starts(csr, 2)
+    monkeypatch.setattr("repro.engines.base.route", _extends_from_ancillary)
     # Unchecked, the broken schedule still walks the reference trajectories...
-    res = _run_mutant(store, task, starts)
+    res = run_bi_block(store, task, starts, record_paths=True)
     assert np.array_equal(res.recorder.paths, reference_walk(csr, task, starts).paths)
     # ...so only the residency check can tell it is wrong.
     with residency_checked(), pytest.raises(AssertionError, match="previous vertex"):
-        _run_mutant(store, task, starts)
+        run_bi_block(store, task, starts)

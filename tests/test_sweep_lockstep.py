@@ -1,11 +1,11 @@
 """Iteration sweeps against the slot-at-a-time oracle, on random graphs.
 
-Under Iteration-based scheduling the engines step a whole sweep (the
-ascending run of current blocks between two wraps) as one batch: a walk
-bound for the pool of a block above its slot's joins that block's slot in
-the running batch, and each slot's charges are made at its turn, slot by
-ascending block. ``tests/sequential_oracle.py`` runs one slot, and one
-bucket, at a time. These hypothesis cases compare both, with ``==``, on
+Under Iteration-based scheduling the engines step every walk in one
+hop-synchronous pass, each walk keeping its sweep (the ascending run of
+current blocks between two wraps), slot and bucket, and charge the slots
+afterwards from the pass's records, sweep by sweep and slot by ascending
+block. ``tests/sequential_oracle.py`` runs one slot, and one bucket, at a
+time. These hypothesis cases compare both, with ``==``, on
 random graphs under one-block, singleton, even and hub partitions: bi-block
 in full, on-demand and learned mode plus training, PB, and GraSorw-FO in
 every loading mode plus first-order training. They also check the count

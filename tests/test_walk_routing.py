@@ -136,29 +136,6 @@ class TestWalkGroups:
         g.add(np.empty(0, dtype=np.int64), Walks.empty())
         assert g.keys() == []
 
-    @pytest.mark.parametrize("read_between", [False, True])
-    def test_pop_all_is_every_pop_in_key_order(self, read_between):
-        """``pop_all`` gives the walks of each key, ascending, in add order,
-        whether or not a read grouped some of them first."""
-        rng = np.random.default_rng(5)
-        adds = []
-        for a in range(4):
-            w = _walks(15, seed=20 + a)
-            w.wid = np.arange(15) + 100 * a
-            adds.append((rng.integers(0, 5, 15), w))
-        one, each = WalkGroups(), WalkGroups()
-        for i, (keys, w) in enumerate(adds):
-            one.add(keys, w)
-            each.add(keys, w.select(np.arange(len(w))))
-            if read_between and i == 1:
-                one.keys(), each.keys()
-        got, key = one.pop_all()
-        want = [(k, part) for k in each.keys() for part in each.pop(k)]
-        assert np.array_equal(got.data, np.concatenate([part.data for _, part in want]))
-        assert key.tolist() == [k for k, part in want for _ in range(len(part))]
-        assert one.keys() == [] and len(one.pop_all()[0]) == 0
-        assert not any(np.shares_memory(got.data, w.data) for _, w in adds)
-
 
 class TestOwnership:
     def test_popped_pool_is_fresh_memory(self):
