@@ -14,9 +14,10 @@ block-by-block run charges (:class:`SweepLog`), and the charges are made
 from those records. Every other run (the state-aware schedulers, Alphabet,
 and SOGW and SGSC, whose reads are charged live) is :func:`run_engine`'s
 one-slot loop. Both charge each slot through :func:`replay_slot`, bucket by
-ascending bucket, as a slot-at-a-time, bucket-at-a-time engine does;
-``tests/sequential_oracle.py`` stays the executable spec of that
-block-by-block execution.
+ascending bucket, as a slot-at-a-time, bucket-at-a-time engine does; every
+on-demand fetch, first-order's current block included, comes from the
+slot's record. ``tests/sequential_oracle.py`` stays the executable spec of
+that block-by-block execution.
 """
 from __future__ import annotations
 
@@ -177,14 +178,13 @@ def make_recorder(
 
 def _enter_marks(log, bucket: np.ndarray, own, key: np.ndarray, walks: Walks) -> None:
     """Walks entering buckets ``bucket`` of slots ``own`` at step keys
-    ``key``: with ``log.current``, the arrivals of a slot's own bucket; and
-    the activation marks of an ancillary bucket, at the key before its
-    first step, for their vertices inside its block."""
-    mine = bucket == own
-    if log.current:
-        log.arrived.append((key[mine], walks.cur[mine]))
+    ``key``: the activation marks of an ancillary bucket, at the key before
+    its first step, for their vertices inside its block. A slot's own
+    bucket needs none, even when loaded on demand: its activated vertices
+    are its walks' current vertices, which its first local step touches."""
+    ancillary = bucket != own
     for v in (walks.prev, walks.cur):
-        inside = ~mine & (log.bmap[v] == bucket)
+        inside = ancillary & (log.bmap[v] == bucket)
         log.marks.append((key[inside] - 1, v[inside]))
 
 
@@ -205,6 +205,13 @@ def _concat(chunks: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np
     return tuple(np.concatenate(c) for c in zip(*chunks))  # type: ignore[return-value]
 
 
+def _tally(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys of ``keys``, ascending, and how often each occurs."""
+    n = np.bincount(np.concatenate([_NONE, *keys]))
+    at = np.flatnonzero(n)
+    return at, n[at]
+
+
 class SlotLog:
     """The bucket-order charges of one time slot of :func:`run_engine`.
 
@@ -214,23 +221,22 @@ class SlotLog:
     ``i·width`` plus the local step, the steps since the walk entered it).
     With ``vertices`` (a loader that may load on demand) it also keeps the
     (position, vertex) marks of each activation and touch of an ancillary
-    block, the first-touch pass's input; with ``current`` (first-order,
-    whose current block may load on demand) those of bucket ``b`` too, and
-    the vertices entering it (:meth:`arrivals`).
+    block, the first-touch pass's input; with ``current`` (the loader
+    loads current block ``b`` too: first-order) the touches of bucket ``b``
+    too.
     """
 
     def __init__(self, b: int, block_map: np.ndarray, width: int, vertices: bool,
-                 n_blocks: int | None = None, current: bool = True) -> None:
+                 n_blocks: int, current: bool) -> None:
         self.b = b
         self.bmap = block_map
         self.width = width
         self.vertices = vertices
         self.current = current
-        self.n_blocks = int(block_map.max()) + 1 if n_blocks is None else n_blocks
+        self.n_blocks = n_blocks
         self._entered: list[np.ndarray] = []
         self._exits: list[np.ndarray] = []
         self.marks: list[tuple[np.ndarray, np.ndarray]] = []
-        self.arrived: list[tuple[np.ndarray, np.ndarray]] = []
 
     def enter(self, bucket: np.ndarray, walks: Walks) -> np.ndarray:
         """``walks`` enter buckets ``bucket`` at local step 0; returns their
@@ -251,27 +257,22 @@ class SlotLog:
         afterwards."""
         self._exits.append(key)
 
-    def arrivals(self) -> np.ndarray:
-        """Current vertices of the walks that entered bucket ``b`` (none
-        without ``vertices``)."""
-        return _concat(self.arrived)[1]
-
     def replay(self, sim: DiskSim, loader: BlockLoader) -> None:
         """Charge the slot's buckets (:func:`replay_slot`). Call it once no
         walk of the slot is left in the batch."""
         n_in = np.bincount(np.concatenate(self._entered), minlength=self.n_blocks)
-        n_out = np.bincount(np.concatenate([_NONE, *self._exits]))
-        steps = np.flatnonzero(n_out)
-        replay_slot(sim, loader, self.b, self.width, n_in, steps, n_out[steps],
-                    _concat(self.marks))
+        steps, n_out = _tally(self._exits)
+        replay_slot(sim, loader, self.b, self.width, n_in, steps, n_out,
+                    _concat(self.marks), self.current)
 
 
 def replay_slot(sim: DiskSim, loader: BlockLoader, b: int, w: int, n_in: np.ndarray,
-                steps: np.ndarray, n_out: np.ndarray, marks: tuple) -> None:
+                steps: np.ndarray, n_out: np.ndarray, marks: tuple, current: bool) -> None:
     """Charge a time slot of current block ``b`` whose buckets ran as one
     batch, as a bucket-at-a-time engine charges it: buckets in ascending id,
-    each with its execution, its ancillary load (none for bucket ``b``),
-    then per local step with exits or ancillary vertices, ascending, the
+    each with its execution, its block load (none for bucket ``b`` unless
+    ``current``: the policy loads the current block itself otherwise), then
+    per local step with exits or on-demand vertices, ascending, the
     on-demand fetches and the pool write, and last the close of the load.
     ``n_in`` holds the walks entering each bucket, ``steps`` the step keys
     (bucket·``w`` + local step) with pool-bound exits, ascending, and
@@ -280,41 +281,34 @@ def replay_slot(sim: DiskSim, loader: BlockLoader, b: int, w: int, n_in: np.ndar
     ids = np.flatnonzero(n_in)
     sim.bucket_execs += len(ids)
     if loader.mode != FULL:
-        _replay_arrays(sim, loader, b, w, ids, n_in, n_out, *marks)
+        _replay_arrays(sim, loader, ids if current else ids[ids != b], w, n_in, n_out, *marks)
         return
     # Full loads only: a short loop, cheaper than array calls for the
     # one or few buckets and exit steps most such slots have.
     cuts = [*np.searchsorted(steps, ids * w).tolist(), len(steps)]
     n_out = n_out.tolist()
     for j, i in enumerate(ids.tolist()):
-        if i != b:  # bucket b needs no ancillary block
+        if i != b or current:
             loader.load(i, int(n_in[i]), _NONE)
         for k in range(cuts[j], cuts[j + 1]):
             sim.charge_walk_io(n_out[k])
         loader.finish()
 
 
-def _replay_arrays(sim: DiskSim, loader: BlockLoader, b: int, w: int, ids: np.ndarray,
+def _replay_arrays(sim: DiskSim, loader: BlockLoader, anc: np.ndarray, w: int,
                    n_in: np.ndarray, n_out: np.ndarray, pos: np.ndarray,
                    vs: np.ndarray) -> None:
     """:func:`replay_slot` for a loader that may load on demand, one array
-    call per clock. Each clock is a sum of its own (only block seeks carry
-    state, chained in bucket order), so charging each clock's run in order
-    gives the counters of the bucket-by-bucket charges; the ``LoadLogs``
-    times are read off the clocks' prefix values."""
+    call per clock, where ``anc`` holds the buckets whose block it loads.
+    Each clock is a sum of its own (only block seeks carry state, chained
+    in bucket order), so charging each clock's run in order gives the
+    counters of the bucket-by-bucket charges; the ``LoadLogs`` times are
+    read off the clocks' prefix values."""
     store = loader.store
-    anc = ids[ids != b]  # the buckets whose ancillary block the replay loads
     eta, full = loader.full_loads(anc, n_in[anc])
     block_clock = sim.charge_block_loads(anc[full], store.block_bytes_of(anc[full]))
     on_demand = np.zeros(store.n_blocks, dtype=bool)
     on_demand[anc[~full]] = True
-    # First-order's current block b was loaded on demand as the slot
-    # started. Its fetched vertices take bucket b's activation position,
-    # which no bi-block activation uses, and are charged nothing.
-    on_demand[b] = seeded = loader.partial
-    seed = loader.fetched() if seeded else _NONE
-    vs = np.concatenate([seed, vs])
-    pos = np.concatenate([np.full(len(seed), b * w - 1), pos])
     keep = on_demand[store.block_map[vs]]
     # The first touch of each vertex: a vertex lies in one block, so only
     # that block's bucket fetches it, at its earliest position. Positions
@@ -324,7 +318,6 @@ def _replay_arrays(sim: DiskSim, loader: BlockLoader, b: int, w: int, ids: np.nd
     new = np.empty(len(v), dtype=bool)
     new[:1] = True
     np.not_equal(v[1:], v[:-1], out=new[1:])
-    new &= rel != b * w  # the seed
     v, rel = v[new], rel[new]
     n = np.bincount(rel, minlength=span)
     at = np.flatnonzero(n)
@@ -338,7 +331,6 @@ def _replay_arrays(sim: DiskSim, loader: BlockLoader, b: int, w: int, ids: np.nd
         t = (block_clock[nb] + od_clock[o1]) - (block_clock[nb - full] + od_clock[o0])
         modes = np.where(full, FULL, ONDEMAND)
         loader.logs.extend(anc.tolist(), eta.tolist(), t.tolist(), modes.tolist())
-    loader.finish()  # closes a load made as the slot opened
 
 
 def _add_counts(counts: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -352,14 +344,14 @@ def _add_counts(counts: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 
 class SweepLog:
-    """The records of a :func:`walk_sweeps` pass, counted per key hop by hop.
+    """The records of a :func:`walk_sweeps` pass.
 
     The slot of block ``c`` in sweep ``k`` (the paper's iteration) has the
     id ``k·N_B + c``, so ids ascend in the order the scheduler runs slots.
     Bucket ``i`` of slot ``s`` has the id ``s·N_B + i`` and the step keys
-    ``id·width + local step``. The log counts each slot's pool reads, each
-    bucket's entries and each step key's pool-bound exits, and keeps
-    :class:`SlotLog`'s marks and arrivals at these keys.
+    ``id·width + local step``. The log counts each slot's pool reads and
+    each bucket's entries hop by hop, and keeps the step key of each
+    pool-bound exit and :class:`SlotLog`'s marks at these keys.
     """
 
     def __init__(self, block_map: np.ndarray, n_blocks: int, width: int,
@@ -371,9 +363,8 @@ class SweepLog:
         self.current = current
         self.filled = 0  # walks of the initial pool fill
         self.reads = self.n_in = _NONE  # by slot id, by bucket id
-        self._exits: list[tuple[np.ndarray, np.ndarray]] = []  # (keys, counts)
+        self._exits: list[np.ndarray] = []
         self.marks: list[tuple[np.ndarray, np.ndarray]] = []
-        self.arrived: list[tuple[np.ndarray, np.ndarray]] = []
 
     def enter(self, sid: np.ndarray, bucket: np.ndarray, walks: Walks,
               pooled: np.ndarray | bool) -> np.ndarray:
@@ -388,9 +379,9 @@ class SweepLog:
         return key
 
     def exit(self, key: np.ndarray) -> None:
-        """Walks that left their bucket for a pool on the steps keyed ``key``."""
-        if len(key):
-            self._exits.append(np.unique(key, return_counts=True))
+        """Walks that left their bucket for a pool on the steps keyed
+        ``key``, kept as :meth:`SlotLog.exit` keeps them."""
+        self._exits.append(key)
 
     def charge(self, policy: EnginePolicy) -> None:
         """Make every recorded charge on ``policy.sim``: the initial pool
@@ -399,22 +390,20 @@ class SweepLog:
         with ``policy.loader``). A log may be charged more than once."""
         sim, nb, w = policy.sim, self.nb, self.width
         sim.charge_walk_io(self.filled)
-        keys, counts = _concat(self._exits)
-        keys, inv = np.unique(keys, return_inverse=True)
-        counts = np.bincount(inv, weights=counts).astype(np.int64)
+        keys, counts = _tally(self._exits)
         n_in = np.zeros(len(self.reads) * nb, dtype=np.int64)
         n_in[: len(self.n_in)] = self.n_in
-        marks, arrived = (_by_slot(c, nb * w) for c in (self.marks, self.arrived))
+        marks = _by_slot(self.marks, nb * w)
         for s in np.flatnonzero(self.reads).tolist():
             b, lo = s % nb, s * nb * w
             n = int(self.reads[s])
             sim.charge_walk_io(n)
-            policy.load_current(b, n, arrived(s)[1])
+            policy.load_current(b, n)
             sim.time_slots += 1
             k0, k1 = np.searchsorted(keys, [lo, lo + nb * w])
             pos, vs = marks(s)
             replay_slot(sim, policy.loader, b, w, n_in[s * nb:s * nb + nb],
-                        keys[k0:k1] - lo, counts[k0:k1], (pos - lo, vs))
+                        keys[k0:k1] - lo, counts[k0:k1], (pos - lo, vs), self.current)
 
 
 def _by_slot(chunks: list[tuple[np.ndarray, np.ndarray]], span: int):
@@ -423,7 +412,9 @@ def _by_slot(chunks: list[tuple[np.ndarray, np.ndarray]], span: int):
     a function of the slot id that gives that slot's records."""
     pos, vs = _concat(chunks)
     sid = (pos + 1) // span
-    order = np.argsort(sid, kind="stable")
+    # In the narrowest unsigned type that holds them, so the stable sort is
+    # numpy's O(n) radix sort (as WalkPools groups its pool ids).
+    order = np.argsort(sid.astype(np.min_scalar_type(sid.max(initial=0))), kind="stable")
     pos, vs, sid = pos[order], vs[order], sid[order]
 
     def of(s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -438,20 +429,21 @@ class EnginePolicy:
 
     The defaults are the plainest engine: walks pooled with their current
     block, which is fully loaded; one bucket per slot; no per-step reads.
-    ``loader`` brings in the current block and each bucket's ancillary block
-    (by default fully). ``pool_of`` and ``bucket_of`` see block ids, so both
-    producers share them; ``load_current`` runs as a slot is charged, and
-    ``before_step`` (one-slot loop only) before each step.
+    ``loader`` brings in the blocks a slot's replay loads, each bucket's
+    ancillary and with ``loads_current`` the current block (by default
+    fully). ``pool_of`` and ``bucket_of`` see block ids, so both producers
+    share them; ``load_current`` runs as a slot is charged, and
+    ``before_step`` before each step.
     """
 
     #: True for a policy whose ``before_step`` charges reads as the steps
     #: run, against state that each slot's ``load_current`` sets (SOGW's LRU
     #: block slots): its slots must step one at a time, even under Iteration.
     charges_live = False
-    #: True for a policy whose ``load_current`` may load the current block
-    #: on demand (first-order): the vertices its slots' own buckets touch are
-    #: then fetched one by one, so the logs keep them.
-    current_on_demand = False
+    #: True for a policy whose ``loader`` also loads each slot's current
+    #: block, as bucket ``b`` of the slot's record, by the loading method
+    #: (first-order); ``load_current`` then loads only a walk-less block.
+    loads_current = False
 
     def __init__(
         self, store: BlockStore, sim: DiskSim, loader: BlockLoader | None = None
@@ -473,16 +465,15 @@ class EnginePolicy:
         it runs with (``b``: the current block alone, the default)."""
         return np.full(len(curb), b, dtype=np.int64)
 
-    def load_current(self, b: int, n: int, cur: np.ndarray) -> None:
+    def load_current(self, b: int, n: int) -> None:
         """Bring current block ``b`` in for the ``n`` walks its slot reads
-        from its pool (none when Alphabet picks a walk-less block); ``cur``
-        holds their current vertices as they entered, given only to a
-        loader that may load on demand."""
+        from its pool (none when Alphabet picks a walk-less block)."""
         self.loader.load_whole(b)
 
-    def before_step(self, active: Walks, b: int, bucket: np.ndarray) -> None:
+    def before_step(self, active: Walks, b: np.ndarray | int, bucket: np.ndarray) -> None:
         """Charge the reads that make this step's vertices resident, as they
-        happen; ``bucket`` holds each active walk's bucket."""
+        happen; ``b`` is the slot's current block (each walk's, in a
+        :func:`walk_sweeps` hop) and ``bucket`` holds each walk's bucket."""
 
 
 def route(policy: EnginePolicy, prevb, curb, slot, bucket) -> tuple:
@@ -494,12 +485,6 @@ def route(policy: EnginePolicy, prevb, curb, slot, bucket) -> tuple:
     pool = policy.pool_of(prevb, curb)
     nxt = policy.bucket_of(pool, prevb, curb)
     return pool, nxt, (pool == slot) & (nxt > bucket)
-
-
-def step_blocks(policy: EnginePolicy, walks: Walks, slot, bucket) -> None:
-    """What a hop of :func:`walk_sweeps` reads: the stepping ``walks`` (the
-    blocks of their previous and current vertices), each one's slot and its
-    bucket. It does nothing; a residency check wraps it."""
 
 
 def _move(log: SweepLog, policy: EnginePolicy, active: Walks, out: np.ndarray,
@@ -538,14 +523,14 @@ def walk_sweeps(store: BlockStore, task: WalkTask, starts: Walks, policy: Engine
     vertices = policy.loader.mode != FULL  # an on-demand replay needs them
     draws = draw_keys(task, starts)  # one premix per walk and salt, not per draw
     _, active = split_done(task, csr, starts, draws)
-    log = SweepLog(bmap, nb, task.max_len + 1, vertices, policy.current_on_demand)
+    log = SweepLog(bmap, nb, task.max_len + 1, vertices, policy.loads_current)
     log.filled = len(active)
     prevb, curb = bmap[active.prev], bmap[active.cur]
     slot = policy.pool_of(prevb, curb).copy()  # sweep 0: the slot id is the slot
     bucket = policy.bucket_of(slot, prevb, curb)
     key = log.enter(slot, bucket, active, np.ones(len(slot), dtype=bool))
     while len(active):
-        step_blocks(policy, active, slot, bucket)
+        policy.before_step(active, slot, bucket)
         if vertices:
             _touch_marks(log, active.cur, slot, bucket, key)
         t0 = time.perf_counter()
@@ -600,10 +585,10 @@ def run_engine(
         if b is None:
             break
         active = pools.pop(b)
-        log = SlotLog(b, bmap, width, vertices, store.n_blocks, policy.current_on_demand)
+        log = SlotLog(b, bmap, width, vertices, store.n_blocks, policy.loads_current)
         bucket = policy.bucket_of(b, bmap[active.prev], bmap[active.cur])
         key = log.enter(bucket, active)  # each walk's next step, keyed for the log
-        policy.load_current(b, len(active), log.arrivals())
+        policy.load_current(b, len(active))
         sim.time_slots += 1
         if not len(active):
             continue  # a walk-less block that Alphabet picks

@@ -10,23 +10,20 @@ method:
 * **GraSorw-No-LBL**: Iteration-based scheduling, full load;
 * **GraSorw**: Iteration-based scheduling + learning-based block loading.
 
-A slot is one bucket, the current block ``b`` alone, brought in by the
-policy's :class:`~repro.engines.loading.BlockLoader` as the slot is
-charged. Under Iteration-based scheduling the walks run as one
-hop-synchronous pass (:func:`~repro.engines.base.walk_sweeps`): a walk
-that moves to a block above its slot's joins that block's slot in the same
-sweep, and one that moves down waits for the next. Under the other
-schedulers the engine runs one slot at a time. Either way, the current
-vertices a slot's steps touch and its exit writes are recorded and charged
-once the slot's walks are known, in step order: loaded on demand, each
-vertex the load has not fetched is fetched at its first touch. The charge
-also closes the block load (its ``LoadLogs`` entry). The counters are
-those of the slot-at-a-time run of ``tests/sequential_oracle.py``, the
+A slot is one bucket, the current block ``b`` alone. Under Iteration-based
+scheduling the walks run as one hop-synchronous pass
+(:func:`~repro.engines.base.walk_sweeps`): a walk that moves to a block
+above its slot's joins that block's slot in the same sweep, and one that
+moves down waits for the next. Under the other schedulers the engine runs
+one slot at a time. Either way the slot's record keeps the current vertices
+its steps touch (the first local step touches the load's activated
+vertices) and its exits, and is charged once the slot's walks are known:
+the policy's :class:`~repro.engines.loading.BlockLoader` then loads block
+``b`` as it loads a bi-block ancillary, fully or on demand. The counters
+are those of the slot-at-a-time run of ``tests/sequential_oracle.py``, the
 executable spec of block-by-block execution.
 """
 from __future__ import annotations
-
-import numpy as np
 
 from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
@@ -40,13 +37,11 @@ from repro.walks.state import Walks
 class FirstOrderPolicy(EnginePolicy):
     """One block slot, filled by the policy's :class:`BlockLoader`."""
 
-    current_on_demand = True
+    loads_current = True
 
-    def load_current(self, b: int, n: int, cur: np.ndarray) -> None:
-        if n:
-            self.loader.load(b, n, cur)
-        else:
-            super().load_current(b, n, cur)  # Alphabet pays for a walk-less block
+    def load_current(self, b: int, n: int) -> None:
+        if not n:
+            super().load_current(b, n)  # Alphabet pays for a walk-less block
 
 
 def run_first_order(

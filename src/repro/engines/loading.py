@@ -7,15 +7,17 @@ Two ways to bring a block into memory:
 * **on-demand load** — read only the CSR segments of *activated* vertices
   (the previous/current vertices of the walks about to execute), as light
   random reads charged to the "ondemand" counter; vertices that become
-  activated later, while walks move inside the block, are fetched solo,
+  activated later, while walks move inside the block, are read solo,
   each once per load.
 
-A :class:`BlockLoader` makes the loads that happen as a slot starts (every
-slot's current block). The ancillary loads of a slot whose blocks may load
-on demand are charged from the slot's records by
-:func:`~repro.engines.base.replay_slot`: the loader picks every bucket's
-mode at once (:meth:`BlockLoader.full_loads`), and one first-touch pass
-over the slot's activations and touches gives every fetch.
+A :class:`BlockLoader` picks the loading method. The loads that go by it
+(every ancillary block, and first-order's current block) are charged from
+the slot's records by :func:`~repro.engines.base.replay_slot`: a full-load
+slot's bucket by bucket (:meth:`BlockLoader.load`), and a slot that may
+load on demand at once: the loader picks every bucket's mode
+(:meth:`BlockLoader.full_loads`), and one first-touch pass over the slot's
+activations and touches gives every fetch. Any other current block is
+loaded whole (:meth:`BlockLoader.load_whole`).
 
 The learning-based model (§5.2) fits, per block, ``t_f = α_f·η + b_f`` for
 full load and ``t_o = α_o·η + b_o`` for on-demand load, where
@@ -150,11 +152,11 @@ class BlockLoader:
     """Chooses a loading method and makes loads against the store + I/O
     simulator.
 
-    :meth:`load_whole` brings a slot's current block in fully, and
-    :meth:`load` by the loading method; loaded on demand, it fetches the
-    activated vertices, and the slot's replay fetches each vertex its steps
-    touch later once (:meth:`fetched` gives it the vertices already
-    fetched) — the paper's "get its CSR segmentation solely from disk".
+    :meth:`load_whole` brings a block in fully, and :meth:`load` by the
+    loading method; loaded on demand, it fetches the activated vertices,
+    and :meth:`ensure` each vertex a step touches later, once — the paper's
+    "get its CSR segmentation solely from disk". A slot's replay makes the
+    same choice for all its buckets at once (:meth:`full_loads`).
     """
 
     def __init__(
@@ -192,8 +194,7 @@ class BlockLoader:
         activated vertices inside the block are ``activated``. Returns the
         loading method actually used."""
         lo, hi = self.store.part.block_slice(bid)
-        nv = max(1, hi - lo)
-        eta = walks_count / nv
+        eta = float(walks_count / self._eta_div[bid])
         chosen = self.mode
         if self.mode == LEARNED:
             chosen = self.model.choose(bid, eta)
@@ -221,19 +222,10 @@ class BlockLoader:
             return eta, self.model.prefers_full(bids, eta)
         return eta, np.full(len(bids), self.mode == FULL)
 
-    @property
-    def partial(self) -> bool:
-        """True while the current block is loaded on demand (vertex by
-        vertex); ``ensure`` is a no-op otherwise."""
-        return self._loaded is not None
-
-    def fetched(self) -> np.ndarray:
-        """Global ids of the vertices the current on-demand load has fetched."""
-        return np.flatnonzero(self._loaded) + self._lo
-
     def ensure(self, vs: np.ndarray) -> None:
         """Make vertices ``vs`` (global ids inside the block) resident,
-        charging one light on-demand read for each not yet fetched."""
+        charging one light on-demand read for each not yet resident; a no-op
+        unless the current block is loaded on demand."""
         if self._loaded is None or len(vs) == 0:
             return
         local = np.unique(np.asarray(vs, dtype=np.int64)) - self._lo

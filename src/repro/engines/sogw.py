@@ -37,7 +37,7 @@ class SOGWPolicy(EnginePolicy):
         self.second_order = not task.first_order
         self.static_cache = static_cache
 
-    def load_current(self, b: int, n: int, cur: np.ndarray) -> None:
+    def load_current(self, b: int, n: int) -> None:
         self.slots.ensure(b)
 
     def before_step(self, active: Walks, b: np.ndarray | int, bucket: np.ndarray) -> None:

@@ -69,14 +69,12 @@ def residency_checked():
     resident blocks: each walk's current vertex lies in current block ``b``
     or its bucket's block, and for the two-block engines so does each
     second-order previous vertex (SOGW/SGSC fetch those by vertex I/O).
-    One-slot runs are checked at ``EnginePolicy.before_step``, and
-    hop-synchronous passes at the blocks each hop reads
-    (``repro.engines.base.step_blocks``).
+    Both the one-slot loop and each hop of a hop-synchronous pass call
+    ``EnginePolicy.before_step`` (a hop with each walk's slot as ``b``).
 
     Yields a list that collects the number of walks each checked step
     covered, so a caller can see that every step was checked.
     """
-    from repro.engines import base
     from repro.engines.base import EnginePolicy
     from repro.engines.bi_block import BiBlockPolicy
     from repro.engines.plain_bucket import PBPolicy
@@ -84,36 +82,27 @@ def residency_checked():
 
     seen: list[int] = []
 
-    def check(policy, prevb, curb, b, bucket):
-        assert ((curb == b) | (curb == bucket)).all(), "current vertex not resident"
-        if isinstance(policy, (BiBlockPolicy, PBPolicy)):
-            assert ((prevb < 0) | (prevb == b) | (prevb == bucket)).all(), (
-                "previous vertex not resident"
-            )
-        seen.append(len(curb))
-
     def wrap(before_step):
         def checked(self, active, b, bucket):
-            check(self, self.bmap[active.prev], self.bmap[active.cur], b, bucket)
+            prevb, curb = self.bmap[active.prev], self.bmap[active.cur]
+            assert ((curb == b) | (curb == bucket)).all(), "current vertex not resident"
+            if isinstance(self, (BiBlockPolicy, PBPolicy)):
+                assert ((prevb < 0) | (prevb == b) | (prevb == bucket)).all(), (
+                    "previous vertex not resident"
+                )
+            seen.append(len(curb))
             return before_step(self, active, b, bucket)
 
         return checked
 
-    def checked_hop(policy, walks, slot, bucket):
-        check(policy, policy.bmap[walks.prev], policy.bmap[walks.cur], slot, bucket)
-        return step_blocks(policy, walks, slot, bucket)
-
     # Every other policy, first-order included, inherits EnginePolicy's.
     classes = (EnginePolicy, SOGWPolicy)
     saved = {cls: cls.__dict__["before_step"] for cls in classes}
-    step_blocks = base.step_blocks
     try:
         for cls, fn in saved.items():
             cls.before_step = wrap(fn)
-        base.step_blocks = checked_hop
         yield seen
     finally:
-        base.step_blocks = step_blocks
         for cls, fn in saved.items():
             cls.before_step = fn
 

@@ -235,7 +235,8 @@ def test_first_order_engines_match_bucket_at_a_time_oracle(case):
 
     runs = [("GraphWalker", "graphwalker", "full")]
     runs += [("GraSorw-FO", sched, "full") for sched in SCHEDULER_NAMES]
-    runs += [("GraSorw-FO", "iteration", mode) for mode in ("ondemand", "learned")]
+    runs += [("GraSorw-FO", sched, mode) for sched in ("iteration", "graphwalker")
+             for mode in ("ondemand", "learned")]
     for engine, sched, mode in runs:
         label = f"{engine}/{sched}/{mode}"
         kw = {"load_model": model} if mode == "learned" else {}
@@ -261,13 +262,19 @@ def _fetch_store() -> BlockStore:
     return BlockStore(random_csr(40, 160, seed=5), even_partition(40, 4))
 
 
-def _slot_fetches(loader: BlockLoader, b: int, buckets: dict) -> list[tuple]:
+def _slot_fetches(loader: BlockLoader, b: int, buckets: dict,
+                  current: bool = False) -> list[tuple]:
     """Replay one slot of current block ``b`` and return its on-demand charges.
-    ``buckets`` maps each bucket to the (prev, cur) of the one walk entering
-    it and the vertices that walk's bucket touches at local steps 0, 1, ..."""
-    log = SlotLog(b, loader.store.block_map, 8, vertices=True)
+    ``buckets`` maps each bucket to the (prev, cur) of the walks entering it
+    (one vertex each, or one list each) and the vertices that bucket's walks
+    touch at local steps 0, 1, ...; with ``current`` the loader loads block
+    ``b`` as bucket ``b``, as first-order's does."""
+    store = loader.store
+    log = SlotLog(b, store.block_map, 8, True, store.n_blocks, current)
     for i, ((prev, cur), steps) in buckets.items():
-        key = log.enter(np.array([i]), Walks(wid=[0], src=[cur], prev=[prev], cur=[cur], hop=[1]))
+        prev, cur = np.atleast_1d(prev), np.atleast_1d(cur)
+        walks = Walks(wid=np.arange(len(cur)), src=cur, prev=prev, cur=cur, hop=1)
+        key = log.enter(np.full(len(cur), i), walks)
         for s, vs in enumerate(steps):
             vs = np.asarray(vs, dtype=np.int64)
             log.touch(vs, np.full(len(vs), i), np.full(len(vs), key[0] + s))
@@ -330,13 +337,12 @@ class TestSlotFetchPlan:
         assert got == [_fetch(store, 30), _fetch(store, 31), _fetch(store, 32)]
         assert _by_clock(calls)["block"] == [("block", 2, store.block_bytes(2))]
 
-    def test_live_load_seeds_the_slot(self):
-        """First-order: the current block is loaded on demand as the slot
-        starts; the slot's steps fetch only what that load did not."""
+    def test_current_bucket_fetches_entries_then_first_touches(self):
+        """First-order: current block 1 is bucket 1 of its slot's record.
+        Loaded on demand, it fetches the entering walks' current vertices,
+        then each vertex at the first step that touches it."""
         store = _fetch_store()
         loader = BlockLoader(store, DiskSim(params=store.params), mode=ONDEMAND)
-        with _charges() as calls:
-            loader.load(1, 2, np.array([10, 12]))
-            got = _slot_fetches(loader, 1, {1: ((-1, 10), [[10, 12], [12, 13], [10, 14]])})
-        assert got == [_fetch(store, 13), _fetch(store, 14)]
-        assert _by_clock(calls)["ondemand"] == [_fetch(store, 10, 12), *got]
+        got = _slot_fetches(loader, 1, {1: (([-1, -1], [10, 12]), [[10, 12], [12, 13], [10, 14]])},
+                            current=True)
+        assert got == [_fetch(store, 10, 12), _fetch(store, 13), _fetch(store, 14)]
