@@ -10,14 +10,14 @@ Under Iteration-based scheduling a policy that charges nothing live
 one hop-synchronous pass over every live walk, as the reference walker
 makes. Draws are keyed by (walk, hop), so each walk's sweep, slot, bucket
 and local step follow from its own blocks; the pass records per key what a
-block-by-block run charges (:class:`SweepLog`), and the charges are made
-from those records. Every other run (the state-aware schedulers, Alphabet,
-and SOGW and SGSC, whose reads are charged live) is :func:`run_engine`'s
-one-slot loop. Both charge each slot through :func:`replay_slot`, bucket by
-ascending bucket, as a slot-at-a-time, bucket-at-a-time engine does; every
-on-demand fetch, first-order's current block included, comes from the
-slot's record. ``tests/sequential_oracle.py`` stays the executable spec of
-that block-by-block execution.
+block-by-block run charges (:class:`SweepLog`), and :func:`charge_slots`
+charges all its slots at once. Every other run (the state-aware schedulers,
+Alphabet, and SOGW and SGSC, whose reads are charged live) is
+:func:`run_engine`'s one-slot loop, which charges the rest of each slot
+from its :class:`SlotLog`. Either way the charges are a slot-at-a-time,
+bucket-at-a-time engine's, and every on-demand fetch, first-order's current
+block included, comes from the records. ``tests/sequential_oracle.py``
+stays the executable spec of that block-by-block execution.
 """
 from __future__ import annotations
 
@@ -207,7 +207,7 @@ def _concat(chunks: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np
 
 def _tally(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """The distinct keys of ``keys``, ascending, and how often each occurs."""
-    n = np.bincount(np.concatenate([_NONE, *keys]))
+    n = np.bincount(np.concatenate([_NONE, *keys], dtype=np.int64))
     at = np.flatnonzero(n)
     return at, n[at]
 
@@ -258,79 +258,99 @@ class SlotLog:
         self._exits.append(key)
 
     def replay(self, sim: DiskSim, loader: BlockLoader) -> None:
-        """Charge the slot's buckets (:func:`replay_slot`). Call it once no
-        walk of the slot is left in the batch."""
+        """Charge the slot's buckets, whose pool read and current block the
+        one-slot loop charged live. Call it once no walk of the slot is
+        left in the batch. With a loader that may load on demand the slot
+        is :func:`charge_slots`' one slot. A full-load slot replays in a
+        short loop, cheaper than array calls for the one or few buckets and
+        exit steps most such slots have: buckets in ascending id, each with
+        its execution, its block load (none for bucket ``b`` unless
+        ``current``), its pool writes by ascending local step, and the close
+        of the load."""
         n_in = np.bincount(np.concatenate(self._entered), minlength=self.n_blocks)
         steps, n_out = _tally(self._exits)
-        replay_slot(sim, loader, self.b, self.width, n_in, steps, n_out,
-                    _concat(self.marks), self.current)
+        if loader.mode != FULL:
+            charge_slots(sim, loader, self.width, np.array([self.b]), _NONE, n_in, steps, n_out,
+                         *_concat(self.marks), self.current)
+            return
+        ids = np.flatnonzero(n_in)
+        sim.bucket_execs += len(ids)
+        cuts = [*np.searchsorted(steps, ids * self.width).tolist(), len(steps)]
+        n_out = n_out.tolist()
+        for j, i in enumerate(ids.tolist()):
+            if i != self.b or self.current:
+                loader.load(i, int(n_in[i]), _NONE)
+            for k in range(cuts[j], cuts[j + 1]):
+                sim.charge_walk_io(n_out[k])
+            loader.finish()
 
 
-def replay_slot(sim: DiskSim, loader: BlockLoader, b: int, w: int, n_in: np.ndarray,
-                steps: np.ndarray, n_out: np.ndarray, marks: tuple, current: bool) -> None:
-    """Charge a time slot of current block ``b`` whose buckets ran as one
-    batch, as a bucket-at-a-time engine charges it: buckets in ascending id,
-    each with its execution, its block load (none for bucket ``b`` unless
-    ``current``: the policy loads the current block itself otherwise), then
-    per local step with exits or on-demand vertices, ascending, the
-    on-demand fetches and the pool write, and last the close of the load.
-    ``n_in`` holds the walks entering each bucket, ``steps`` the step keys
-    (bucket·``w`` + local step) with pool-bound exits, ascending, and
-    ``n_out`` their exits; ``marks`` (positions, vertices) are read only by
-    a loader that may load on demand."""
-    ids = np.flatnonzero(n_in)
-    sim.bucket_execs += len(ids)
-    if loader.mode != FULL:
-        _replay_arrays(sim, loader, ids if current else ids[ids != b], w, n_in, n_out, *marks)
-        return
-    # Full loads only: a short loop, cheaper than array calls for the
-    # one or few buckets and exit steps most such slots have.
-    cuts = [*np.searchsorted(steps, ids * w).tolist(), len(steps)]
-    n_out = n_out.tolist()
-    for j, i in enumerate(ids.tolist()):
-        if i != b or current:
-            loader.load(i, int(n_in[i]), _NONE)
-        for k in range(cuts[j], cuts[j + 1]):
-            sim.charge_walk_io(n_out[k])
-        loader.finish()
+def _merge(k0: np.ndarray, v0: np.ndarray, k1: np.ndarray, v1: np.ndarray) -> tuple:
+    """(keys, values) of two runs of distinct ascending keys ``k0``, ``k1``
+    with their values, merged in key order."""
+    if not len(k0):
+        return k1, v1
+    order = np.argsort(np.concatenate((k0, k1)), kind="stable")
+    return np.concatenate((k0, k1))[order], np.concatenate((v0, v1))[order]
 
 
-def _replay_arrays(sim: DiskSim, loader: BlockLoader, anc: np.ndarray, w: int,
-                   n_in: np.ndarray, n_out: np.ndarray, pos: np.ndarray,
-                   vs: np.ndarray) -> None:
-    """:func:`replay_slot` for a loader that may load on demand, one array
-    call per clock, where ``anc`` holds the buckets whose block it loads.
-    Each clock is a sum of its own (only block seeks carry state, chained
-    in bucket order), so charging each clock's run in order gives the
-    counters of the bucket-by-bucket charges; the ``LoadLogs`` times are
-    read off the clocks' prefix values."""
-    store = loader.store
-    eta, full = loader.full_loads(anc, n_in[anc])
-    block_clock = sim.charge_block_loads(anc[full], store.block_bytes_of(anc[full]))
-    on_demand = np.zeros(store.n_blocks, dtype=bool)
+def charge_slots(sim: DiskSim, loader: BlockLoader, w: int, blocks: np.ndarray,
+                 reads: np.ndarray, n_in: np.ndarray, keys: np.ndarray, n_out: np.ndarray,
+                 pos: np.ndarray, vs: np.ndarray, current: bool) -> None:
+    """Charge recorded time slots ``0, 1, ...`` as a slot-at-a-time,
+    bucket-at-a-time engine does, one array call per ``DiskSim`` clock.
+    Slot ``s`` reads ``reads[s]`` walks from its pool and, if any, loads
+    current block ``blocks[s]`` whole unless ``current`` (then ``loader``
+    loads it as bucket ``blocks[s]``). Bucket ``i`` of slot ``s`` (id
+    ``s·N_B + i``, step keys ``id·w`` + local step) follows in ascending id
+    with ``n_in[id]`` walks: its load through ``loader``, then per local
+    step its on-demand fetches and pool write. ``keys`` holds the step keys
+    with exits, ascending, and ``n_out`` their exits; ``pos`` and ``vs``
+    the (step key, vertex) marks of activations (one key before a bucket's
+    first) and touches. Each clock is a sum of its own, and only block
+    loads carry state from one charge to the next, so each clock's run in
+    that order gives the counters of the charges made one by one; the
+    ``LoadLogs`` times are read off the clocks' prefix values."""
+    store, nb = loader.store, loader.store.n_blocks
+    span = nb * w  # step keys per slot
+    sid, bid = np.flatnonzero(reads), np.flatnonzero(n_in)
+    sim.time_slots += len(sid)
+    sim.bucket_execs += len(bid)
+    anc = bid if current else bid[bid % nb != blocks[bid // nb]]
+    eta, full = loader.full_loads(anc % nb, n_in[anc])
+    # Block clock: each slot's current block (key 2·s·N_B), then its fully
+    # loaded buckets (key 2·id + 1).
+    cur, loaded = _NONE if current else sid, anc[full]
+    bkey, blk = _merge(cur * 2 * nb, blocks[cur], loaded * 2 + 1, loaded % nb)
+    block_clock = sim.charge_block_loads(blk, store.block_bytes_of(blk))
+    # Walk clock: each slot's pool read (key 2·s·N_B·w), then its exits
+    # (key 2·step key + 1).
+    sim.charge_walk_ios(_merge(sid * 2 * span, reads[sid], keys * 2 + 1, n_out)[1])
+    # On-demand clock: a vertex lies in one block, so in each slot only that
+    # block's bucket fetches it, at its first touch. Positions run from -1
+    # (bucket 0's activation), so shifted by one bucket id's run from id·w.
+    on_demand = np.zeros(len(n_in), dtype=bool)
     on_demand[anc[~full]] = True
-    keep = on_demand[store.block_map[vs]]
-    # The first touch of each vertex: a vertex lies in one block, so only
-    # that block's bucket fetches it, at its earliest position. Positions
-    # run from -1 (bucket 0's activation), so they are shifted by one.
-    span = len(n_in) * w + 1
-    v, rel = np.divmod(np.sort(vs[keep] * span + (pos[keep] + 1)), span)
-    new = np.empty(len(v), dtype=bool)
-    new[:1] = True
-    np.not_equal(v[1:], v[:-1], out=new[1:])
-    v, rel = v[new], rel[new]
-    n = np.bincount(rel, minlength=span)
+    pos = pos + 1
+    keep = on_demand[pos // w]
+    top = len(n_in) * w  # one past the last position
+    key = np.sort(vs[keep] * top + pos[keep])
+    group = key // span  # vertex·slots + slot
+    first = np.empty(len(key), dtype=bool)
+    first[:1] = True
+    np.not_equal(group[1:], group[:-1], out=first[1:])
+    v, rel = np.divmod(key[first], top)
+    n = np.bincount(rel)
     at = np.flatnonzero(n)
     # float64 sums of whole byte counts: exact while below 2**53.
-    nbytes = np.bincount(rel, weights=store.seg_bytes[v], minlength=span)[at]
+    nbytes = np.bincount(rel, weights=store.seg_bytes[v])[at]
     od_clock = sim.charge_vertex_fetches(n[at], nbytes, kind="ondemand")
-    sim.charge_walk_ios(n_out)
     if loader.logs is not None and len(anc):
-        nb = np.cumsum(full)  # block loads up to and including each bucket
+        k = np.searchsorted(bkey, anc * 2 + 1) + full  # block loads up to and with each
         o0, o1 = np.searchsorted(at, [anc * w, anc * w + w])
-        t = (block_clock[nb] + od_clock[o1]) - (block_clock[nb - full] + od_clock[o0])
+        t = (block_clock[k] + od_clock[o1]) - (block_clock[k - full] + od_clock[o0])
         modes = np.where(full, FULL, ONDEMAND)
-        loader.logs.extend(anc.tolist(), eta.tolist(), t.tolist(), modes.tolist())
+        loader.logs.extend((anc % nb).tolist(), eta.tolist(), t.tolist(), modes.tolist())
 
 
 def _add_counts(counts: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -365,6 +385,13 @@ class SweepLog:
         self.reads = self.n_in = _NONE  # by slot id, by bucket id
         self._exits: list[np.ndarray] = []
         self.marks: list[tuple[np.ndarray, np.ndarray]] = []
+        # Every sweep steps each live walk, so a pass of width - 1 hops has
+        # fewer than width sweeps and its step keys stay below top. The
+        # charge packs each mark's vertex with its position into one int64.
+        top = width * n_blocks * n_blocks * width
+        if top * len(block_map) > np.iinfo(np.int64).max:
+            raise OverflowError(f"{n_blocks} blocks, {width - 1} hops: step keys overflow int64")
+        self._key_dtype = np.min_scalar_type(top)
 
     def enter(self, sid: np.ndarray, bucket: np.ndarray, walks: Walks,
               pooled: np.ndarray | bool) -> np.ndarray:
@@ -380,48 +407,18 @@ class SweepLog:
 
     def exit(self, key: np.ndarray) -> None:
         """Walks that left their bucket for a pool on the steps keyed
-        ``key``, kept as :meth:`SlotLog.exit` keeps them."""
-        self._exits.append(key)
+        ``key``, kept in the narrowest type that holds every key."""
+        self._exits.append(key.astype(self._key_dtype))
 
     def charge(self, policy: EnginePolicy) -> None:
         """Make every recorded charge on ``policy.sim``: the initial pool
-        fill, then each slot in slot-id order — its pool read, its current
-        block (``policy.load_current``), its buckets (:func:`replay_slot`
-        with ``policy.loader``). A log may be charged more than once."""
-        sim, nb, w = policy.sim, self.nb, self.width
-        sim.charge_walk_io(self.filled)
-        keys, counts = _tally(self._exits)
-        n_in = np.zeros(len(self.reads) * nb, dtype=np.int64)
+        fill, then every slot in slot-id order (:func:`charge_slots` through
+        ``policy.loader``). A log may be charged more than once."""
+        policy.sim.charge_walk_io(self.filled)
+        n_in = np.zeros(len(self.reads) * self.nb, dtype=np.int64)
         n_in[: len(self.n_in)] = self.n_in
-        marks = _by_slot(self.marks, nb * w)
-        for s in np.flatnonzero(self.reads).tolist():
-            b, lo = s % nb, s * nb * w
-            n = int(self.reads[s])
-            sim.charge_walk_io(n)
-            policy.load_current(b, n)
-            sim.time_slots += 1
-            k0, k1 = np.searchsorted(keys, [lo, lo + nb * w])
-            pos, vs = marks(s)
-            replay_slot(sim, policy.loader, b, w, n_in[s * nb:s * nb + nb],
-                        keys[k0:k1] - lo, counts[k0:k1], (pos - lo, vs), self.current)
-
-
-def _by_slot(chunks: list[tuple[np.ndarray, np.ndarray]], span: int):
-    """The (position, vertex) records of ``chunks`` grouped by slot id (a
-    slot's positions run from ``-1`` to ``span - 2`` past its first key):
-    a function of the slot id that gives that slot's records."""
-    pos, vs = _concat(chunks)
-    sid = (pos + 1) // span
-    # In the narrowest unsigned type that holds them, so the stable sort is
-    # numpy's O(n) radix sort (as WalkPools groups its pool ids).
-    order = np.argsort(sid.astype(np.min_scalar_type(sid.max(initial=0))), kind="stable")
-    pos, vs, sid = pos[order], vs[order], sid[order]
-
-    def of(s: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = np.searchsorted(sid, [s, s + 1])
-        return pos[lo:hi], vs[lo:hi]
-
-    return of
+        charge_slots(policy.sim, policy.loader, self.width, np.arange(len(self.reads)) % self.nb,
+                     self.reads, n_in, *_tally(self._exits), *_concat(self.marks), self.current)
 
 
 class EnginePolicy:
@@ -429,11 +426,11 @@ class EnginePolicy:
 
     The defaults are the plainest engine: walks pooled with their current
     block, which is fully loaded; one bucket per slot; no per-step reads.
-    ``loader`` brings in the blocks a slot's replay loads, each bucket's
+    ``loader`` brings in the blocks a slot's charge loads, each bucket's
     ancillary and with ``loads_current`` the current block (by default
-    fully). ``pool_of`` and ``bucket_of`` see block ids, so both producers
-    share them; ``load_current`` runs as a slot is charged, and
-    ``before_step`` before each step.
+    fully). Both producers share ``pool_of`` and ``bucket_of``, which see
+    block ids, and call ``before_step`` before each step; ``load_current``
+    runs only as a slot of :func:`run_engine`'s one-slot loop starts.
     """
 
     #: True for a policy whose ``before_step`` charges reads as the steps
@@ -442,7 +439,8 @@ class EnginePolicy:
     charges_live = False
     #: True for a policy whose ``loader`` also loads each slot's current
     #: block, as bucket ``b`` of the slot's record, by the loading method
-    #: (first-order); ``load_current`` then loads only a walk-less block.
+    #: (first-order); ``load_current`` then loads only a walk-less block,
+    #: and a pass's charge loads no other current block.
     loads_current = False
 
     def __init__(

@@ -24,9 +24,9 @@ the next sweep otherwise.
 Ancillary blocks are loaded through a :class:`~repro.engines.loading.BlockLoader`
 (full / on-demand / learned), which is where the §5 model plugs in. The
 pass records each slot's bucket entries, exits and on-demand touches, and
-the charges are made from those records slot by slot, in ascending bucket
-order (:func:`~repro.engines.base.replay_slot`), so the counters are those
-of a slot-at-a-time, bucket-at-a-time run; ``tests/sequential_oracle.py``
+the charges are made from those records in slot order and ascending bucket
+order, one array call per clock (:func:`~repro.engines.base.charge_slots`),
+so the counters are those of a slot-at-a-time, bucket-at-a-time run; ``tests/sequential_oracle.py``
 stays the executable spec of that block-by-block execution.
 """
 from __future__ import annotations

@@ -12,12 +12,12 @@ Two ways to bring a block into memory:
 
 A :class:`BlockLoader` picks the loading method. The loads that go by it
 (every ancillary block, and first-order's current block) are charged from
-the slot's records by :func:`~repro.engines.base.replay_slot`: a full-load
-slot's bucket by bucket (:meth:`BlockLoader.load`), and a slot that may
-load on demand at once: the loader picks every bucket's mode
-(:meth:`BlockLoader.full_loads`), and one first-touch pass over the slot's
-activations and touches gives every fetch. Any other current block is
-loaded whole (:meth:`BlockLoader.load_whole`).
+the slots' records: a full-load slot of the one-slot loop bucket by bucket
+(:meth:`BlockLoader.load`), any other slot in one array call per clock
+(:func:`~repro.engines.base.charge_slots`): the loader picks every
+bucket's mode at once (:meth:`BlockLoader.full_loads`), and one first-touch
+pass over the activations and touches gives every fetch. The one-slot loop
+loads any other current block whole (:meth:`BlockLoader.load_whole`).
 
 The learning-based model (§5.2) fits, per block, ``t_f = α_f·η + b_f`` for
 full load and ``t_o = α_o·η + b_o`` for on-demand load, where

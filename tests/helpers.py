@@ -110,9 +110,9 @@ def residency_checked():
 @contextlib.contextmanager
 def slot_trace():
     """Record the current block of every time slot, in the order the
-    engines charge them (each outermost ``load_current`` call, which both
-    the one-slot loop and the charge of a hop-synchronous pass make), and
-    count the engines' ``advance`` calls.
+    engines charge them (each outermost ``load_current`` call of the
+    one-slot loop, and the slots a hop-synchronous pass's records charge),
+    and count the engines' ``advance`` calls.
 
     Yields a namespace with ``blocks`` and ``advances``; its ``sweeps()``
     counts the ascending runs of ``blocks``, the Iteration scheduler's
@@ -121,7 +121,7 @@ def slot_trace():
     from types import SimpleNamespace
 
     from repro.engines import base
-    from repro.engines.base import EnginePolicy
+    from repro.engines.base import EnginePolicy, SweepLog
     from repro.engines.first_order import FirstOrderPolicy
     from repro.engines.sogw import SOGWPolicy
 
@@ -142,19 +142,23 @@ def slot_trace():
 
         return traced
 
+    def charged(log, policy):
+        trace.blocks += (np.flatnonzero(log.reads) % log.nb).tolist()
+        return charge(log, policy)
+
     def counted(*args, **kwargs):
         trace.advances += 1
         return advance(*args, **kwargs)
 
     classes = (EnginePolicy, FirstOrderPolicy, SOGWPolicy)
     saved = {cls: cls.__dict__["load_current"] for cls in classes}
-    advance = base.advance
+    advance, charge = base.advance, SweepLog.charge
     try:
         for cls, fn in saved.items():
             cls.load_current = wrap(fn)
-        base.advance = counted
+        base.advance, SweepLog.charge = counted, charged
         yield trace
     finally:
-        base.advance = advance
+        base.advance, SweepLog.charge = advance, charge
         for cls, fn in saved.items():
             cls.load_current = fn

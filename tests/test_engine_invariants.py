@@ -13,7 +13,7 @@ from repro.disk.iosim import DiskSim
 from repro.disk.store import BlockStore
 from repro.engines.base import walk_sweeps
 from repro.engines.bi_block import BiBlockPolicy, run_bi_block
-from repro.engines.plain_bucket import run_plain_bucket
+from repro.engines.plain_bucket import PBPolicy, run_plain_bucket
 from repro.engines.sgsc import build_static_cache, run_sgsc
 from repro.engines.sogw import run_sogw
 from repro.walks.models import WalkTask
@@ -86,19 +86,17 @@ class TestBlockIOs:
         nb = store.n_blocks
         assert sim.block_io_num <= (nb + 2) * (nb - 1) // 2 + 1
 
-    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(cases)
-    def test_eq3_bound_per_sweep(self, case):
-        """Eq. 3 in every full-load sweep of the bi-block pass, on one-block,
-        singleton, even and hub partitions: slot ``c`` loads its block and
-        at most the ancillaries above it, so a sweep loads at most
-        (N_B+2)(N_B-1)/2 + 1 blocks. Counted per sweep from the pass's
-        records, whose loads add up to the run's block I/Os."""
+    @staticmethod
+    def _loads_per_sweep(policy_cls, case) -> tuple[int, np.ndarray]:
+        """N_B and the block loads of each sweep of a full-load pass under
+        ``policy_cls``, counted from the pass's records: slot ``c`` loads its
+        block and each bucket but its own. Checks that they add up to the
+        run's block I/Os."""
         store = _graph(case["kind"], case["n"], case["density"], case["n_blocks"],
                        case["graph_seed"])
         task, starts = _task(case["task"], store.csr, case["walk_seed"], case["max_len"])
         sim = DiskSim(params=store.params)
-        policy = BiBlockPolicy(store, sim)
+        policy = policy_cls(store, sim)
         log = walk_sweeps(store, task, starts, policy, None)
         log.charge(policy)
         nb, slots = store.n_blocks, len(log.reads)
@@ -108,8 +106,26 @@ class TestBlockIOs:
         own = entered[np.arange(slots), np.arange(slots) % nb]
         loads = np.where(log.reads > 0, 1 + entered.sum(axis=1) - own, 0)
         assert loads.sum() == sim.block_io_num
-        per_sweep = np.bincount(np.arange(slots) // nb, weights=loads)
+        return nb, np.bincount(np.arange(slots) // nb, weights=loads)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(cases)
+    def test_eq3_bound_per_sweep(self, case):
+        """Eq. 3 in every full-load sweep of the bi-block pass, on one-block,
+        singleton, even and hub partitions: slot ``c`` loads its block and
+        at most the ancillaries above it, so a sweep loads at most
+        (N_B+2)(N_B-1)/2 + 1 blocks."""
+        nb, per_sweep = self._loads_per_sweep(BiBlockPolicy, case)
         assert (per_sweep <= (nb + 2) * (nb - 1) // 2 + 1).all()
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(cases)
+    def test_eq2_bound_per_sweep(self, case):
+        """Eq. 2 in every sweep of PB under Iteration-based scheduling, on
+        the same partitions: slot ``c`` loads its block and at most every
+        other block as an ancillary, so a sweep loads at most N_B² blocks."""
+        nb, per_sweep = self._loads_per_sweep(PBPolicy, case)
+        assert (per_sweep <= nb * nb).all()
 
     def test_bi_block_loads_are_mostly_sequential(self):
         """Triangular scheduling turns ancillary loads sequential, so the
